@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -63,6 +64,10 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(truncation_tol=2.0)
 
+    def test_non_integral_path_count_rejected(self):
+        with pytest.raises(ConfigError):
+            SimConfig(n_paths=10.5, antithetic=False)
+
     def test_horizon_resolution(self):
         cfg = SimConfig(truncation_tol=1e-6)
         assert cfg.resolved_horizon(0.15) == pytest.approx(-math.log(1e-6) / 0.15)
@@ -80,6 +85,24 @@ class TestSimulate:
         assert res.epv_mean == 0.0
         assert res.ruin_fraction == 1.0
         assert res.mean_ruin_time == 0.0
+
+    def test_no_starting_point_rejected(self, neg_params, neg_roots):
+        with pytest.raises(ConfigError):
+            simulate_at(neg_params, neg_roots, PeriodicZero(), SimConfig(n_paths=64), [])
+
+    def test_engine_counters(self, pos_params, pos_roots):
+        st = solve(pos_params).strategy
+        cfg = SimConfig(dt=1e-2, n_paths=400, seed=4, truncation_tol=1e-2)
+        rs = simulate_at(pos_params, pos_roots, st, cfg, [0.5, st.b + 1.0])
+        n_max = math.ceil(cfg.resolved_horizon(pos_params.delta) / cfg.dt)
+        for r in rs:
+            assert (r.n_steps, r.n_blocks) == (rs[0].n_steps, rs[0].n_blocks)
+            assert 1 <= r.n_blocks <= r.n_steps <= n_max
+            assert r.n_periodic_dividends <= r.n_decision_events
+            # every path lives to the horizon unless it is ruined
+            assert r.path_steps <= r.n_paths * r.n_steps
+            assert r.path_steps >= (1.0 - r.ruin_fraction) * r.n_paths * r.n_steps
+        assert rs == simulate_at(pos_params, pos_roots, st, cfg, [0.5, st.b + 1.0])
 
     def test_deterministic_given_seed(self, neg_params, neg_roots):
         cfg = SimConfig(x0=0.5, dt=5e-3, n_paths=2000, seed=9)
@@ -180,3 +203,82 @@ def test_halving_dt_moves_less_than_stderr_at_baseline(neg_params, neg_roots):
     b = simulate(neg_params, neg_roots, PeriodicZero(), SimConfig(dt=5e-4, **base))
     combined = math.hypot(a.epv_stderr, b.epv_stderr)
     assert abs(a.epv_mean - b.epv_mean) < combined
+
+
+class TestGridSemantics:
+    """Near-deterministic paths (sigma = 1e-9, and gamma = 1e-9 so that no
+    decision time falls in the horizon) pin down where the engine monitors
+    ruin and the immediate trigger: at grid points t = k dt only."""
+
+    DT = 0.01
+
+    @staticmethod
+    def _params(mu, chi=0.0, beta=1.0, delta=0.5):
+        return ModelParams(mu=mu, sigma=1e-9, chi=chi, beta=beta, gamma=1e-9, delta=delta)
+
+    def _run(self, params, strategy, x0, horizon):
+        cfg = SimConfig(x0=x0, dt=self.DT, horizon=horizon, n_paths=4, seed=1,
+                        truncation_tol=0.5)
+        return simulate(params, solve_roots(params), strategy, cfg)
+
+    def test_hybrid_triggers_at_grid_points(self):
+        p = self._params(mu=1.0, chi=0.02, beta=0.9)
+        # X(t) = 1 + t crosses b = 2.005 at t = 1.005; the first grid point
+        # at or above b is t = 1.01 (X = 2.01), after which the reset to
+        # a_c = 1 repeats the same 101-step cycle
+        res = self._run(p, Hybrid(0.5, 1.0, 2.005), x0=1.0, horizon=10.0)
+        times = [1.01 * k for k in range(1, 10)]
+        pay = p.beta * (2.01 - 1.0) - p.chi
+        assert res.n_immediate_dividends == 4 * len(times)
+        assert res.n_periodic_dividends == 0
+        assert res.ruin_fraction == 0.0
+        expected = sum(math.exp(-p.delta * t) * pay for t in times)
+        assert res.epv_mean == pytest.approx(expected, rel=1e-5)
+
+    def test_periodic_zero_ruins_at_first_grid_point_below_zero(self):
+        p = self._params(mu=-1.0)
+        # X(t) = 0.505 - t is 0.005 at t = 0.50 and -0.005 at t = 0.51
+        res = self._run(p, PeriodicZero(), x0=0.505, horizon=5.0)
+        assert res.ruin_fraction == 1.0
+        assert res.mean_ruin_time == pytest.approx(0.51)
+        assert res.epv_mean == 0.0
+
+    def test_liquidation_pays_at_first_grid_point_inside_the_band(self):
+        p = self._params(mu=-1.0, chi=0.01, beta=0.8)
+        # X(t) = 1.005 - t visits the grid values ..., 0.495, 0.485, 0.475
+        res = self._run(p, Liquidation(0.48, 0.49), x0=1.005, horizon=5.0)
+        assert res.n_immediate_dividends == 4
+        assert res.mean_ruin_time == pytest.approx(0.52)
+        expected = math.exp(-p.delta * 0.52) * (p.beta * 0.485 - p.chi)
+        assert res.epv_mean == pytest.approx(expected, rel=1e-5)
+
+    def test_liquidation_band_between_grid_points_is_never_entered(self):
+        # the path's range covers (0.487, 0.493), but no grid value lies in
+        # it, so nothing is paid and the path ruins at t = 1.01
+        p = self._params(mu=-1.0, chi=0.01, beta=0.8)
+        res = self._run(p, Liquidation(0.487, 0.493), x0=1.005, horizon=5.0)
+        assert res.n_immediate_dividends == 0
+        assert res.epv_mean == 0.0
+        assert res.ruin_fraction == 1.0
+        assert res.mean_ruin_time == pytest.approx(1.01)
+
+
+@pytest.mark.parametrize("family", ["hybrid", "liquidation"])
+def test_block_size_leaves_the_estimate(family, pos_params, pos_roots,
+                                        neg_params, neg_roots, monkeypatch):
+    # one step per block against the longest blocks: the same estimator,
+    # each reproducible for its seed (the draws differ once columns whose
+    # paths have all finished are dropped at different times)
+    params, roots = (pos_params, pos_roots) if family == "hybrid" else (neg_params, neg_roots)
+    st = solve(params).strategy
+    x0s = [0.5, st.b + 0.5] if family == "hybrid" else [0.15, st.b2 + 0.5]
+    cfg = SimConfig(dt=2e-2, n_paths=1000, seed=8, truncation_tol=1e-2)
+    engine = importlib.import_module("divopt.simulate")
+    runs = {}
+    for steps in (1, 4096):
+        monkeypatch.setattr(engine, "_block_steps", lambda n_cols, k=steps: k)
+        runs[steps] = simulate_at(params, roots, st, cfg, x0s)
+        assert runs[steps] == simulate_at(params, roots, st, cfg, x0s)
+    assert runs[1][0].n_blocks == runs[1][0].n_steps
+    for a, b in zip(runs[1], runs[4096]):
+        assert abs(a.epv_mean - b.epv_mean) < 4.0 * math.hypot(a.epv_stderr, b.epv_stderr)
