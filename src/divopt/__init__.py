@@ -34,7 +34,6 @@ from .errors import (
 )
 from .simulate import Dividend, SimConfig, SimResult, policy_step, simulate, simulate_at
 from .solver import (
-    I_func,
     Q,
     Q_inv,
     Regime,
@@ -59,9 +58,6 @@ from .values import (
     ValueFunction,
     hybrid_coefficients,
     liquidation_A,
-    value,
-    value_d1,
-    value_d2,
 )
 from .verify import (
     GridSearchResult,
@@ -84,7 +80,6 @@ __all__ = [
     "HJBReport",
     "Hybrid",
     "HybridCoefficients",
-    "I_func",
     "J",
     "J_d1",
     "Liquidation",
@@ -134,7 +129,4 @@ __all__ = [
     "solve_roots",
     "solve_unprofitable",
     "sufficient_condition_hints",
-    "value",
-    "value_d1",
-    "value_d2",
 ]

@@ -167,8 +167,6 @@ def _print_report(report: SolveReport) -> None:
     for name, val in sorted(report.boundary.items()):
         if val:
             print(f"boundary: {name}")
-    if report.asymptotic:
-        print("asymptotic: 1")
 
 
 def cmd_solve(merged: dict) -> int:
@@ -182,7 +180,7 @@ def cmd_solve(merged: dict) -> int:
             [""]
             + [report.regime.value]
             + [_fmt(v) for v in cells.values()]
-            + ["1" if report.asymptotic else "", ""]
+            + ["", ""]
         )
         _write(merged["out"], header + "\n" + row + "\n")
     return 0
@@ -249,6 +247,7 @@ def cmd_sweep(merged: dict) -> int:
     base = dict(merged)
     values = np.linspace(float(merged["from"]), float(merged["to"]), count)
     tol = float(merged.get("tol", 1e-10))
+    # the asymptotic column stays in the format and is always empty
     lines = ["param,regime,a_p,a_c,b,b1,b2,b0,asymptotic,error"]
     for v in values:
         base[axis] = float(v)
@@ -260,7 +259,7 @@ def cmd_sweep(merged: dict) -> int:
                 ",".join(
                     [_fmt(float(v)), report.regime.value]
                     + [_fmt(c) for c in cells.values()]
-                    + ["1" if report.asymptotic else "", ""]
+                    + ["", ""]
                 )
             )
         except (DivoptError, ValueError) as exc:
@@ -281,7 +280,7 @@ def cmd_verify(merged: dict) -> int:
     print(f"hjb_max_payment_residual={_fmt(hjb.max_payment_residual)}")
     print(f"hjb_points={hjb.n_points}")
     ok = hjb.passed
-    if isinstance(report.strategy, Hybrid) and math.isfinite(report.strategy.b):
+    if isinstance(report.strategy, Hybrid):
         audit = audit_derivative_pattern(params, roots, report.strategy)
         print(f"pattern_branch={audit.branch}")
         print(f"pattern_violations={len(audit.violations)}")

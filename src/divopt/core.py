@@ -34,8 +34,8 @@ EXP_ARG_LIMIT = 700.0
 def exp_guarded(x):
     """exp(x) for scalars or arrays, refusing arguments beyond the guard.
 
-    Raises OverflowGuardError instead of returning inf so callers can
-    rescale units rather than propagate garbage.
+    Raises OverflowGuardError instead of returning inf, so f, g and J never
+    propagate garbage.
     """
     arr = np.asarray(x, dtype=float)
     mx = arr.max() if arr.size else 0.0

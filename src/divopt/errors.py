@@ -8,8 +8,9 @@ class DivoptError(Exception):
 class OverflowGuardError(DivoptError):
     """An exponential was asked for an argument beyond the guard limit.
 
-    Raised instead of silently returning inf; the solver reacts by
-    rescaling monetary units and retrying.
+    Raised by core.exp_guarded instead of silently returning inf. The value
+    functions and the solver evaluate their closed forms in exponent-shifted
+    form, whose exponentials never exceed 1, so they do not raise it.
     """
 
     def __init__(self, arg: float, limit: float):

@@ -13,8 +13,9 @@ from typing import Callable
 
 from .errors import NoBracketError
 
-ABS_TOL_X = 1e-12
-ABS_TOL_F = 1e-10
+# bracket width, relative to 1 + |x|, at which a root search stops; where
+# V' is steep, 1e-12 left smooth-fit residuals above the solver's 1e-10 gate
+ABS_TOL_X = 1e-14
 
 
 def bisect_secant(

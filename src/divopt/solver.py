@@ -32,19 +32,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import EXP_ARG_LIMIT, ModelParams, Roots, f, f_d1, solve_roots
-from .errors import DivoptError, NoBracketError, OutOfRangeError, OverflowGuardError
+from .core import ModelParams, Roots, f, f_d1, solve_roots
+from .errors import DivoptError, NoBracketError, OutOfRangeError
 from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
-from .values import ValueFunction
-
-_GUARD = 0.9 * EXP_ARG_LIMIT
-
-
-def _exps(x: float) -> float:
-    if x > EXP_ARG_LIMIT:
-        raise OverflowGuardError(x, EXP_ARG_LIMIT)
-    return math.exp(x)
+from .values import ValueFunction, hybrid_kernel, periodic_zero
 
 
 class Regime(enum.Enum):
@@ -62,24 +54,7 @@ class SolveReport:
     residuals: dict[str, float]
     boundary: dict[str, bool]
     tol: float
-    asymptotic: bool = False
     diagnostics: dict[str, Any] = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# periodic-zero closed forms (liquidate everything at the first decision time)
-
-
-def _pz_value(params: ModelParams, roots: Roots, x: float) -> float:
-    gd = params.gamma + params.delta
-    k = -params.gamma * params.mu / gd**2
-    return k * _exps(roots.s1 * x) + roots.pvfactor * (x + params.mu / gd)
-
-
-def _pz_d1(params: ModelParams, roots: Roots, x: float) -> float:
-    gd = params.gamma + params.delta
-    k = -params.gamma * params.mu / gd**2
-    return k * roots.s1 * _exps(roots.s1 * x) + roots.pvfactor
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +83,6 @@ def Q_inv(params: ModelParams, roots: Roots, q: float) -> float:
     return bisect_secant(lambda a: Q(params, roots, a) - q, 0.0, roots.a_bar)
 
 
-def I_func(params: ModelParams, roots: Roots, x: float, q: float) -> float:
-    """Separation between V'(a_p) and its barrier-free level, given V'(b-) = beta.
-
-    I(x, q) = [alpha + (pv - (-s1 pv)/(-s1 + q (r1+s1))) e^{s1 x}]
-              / [g'(x) + g(x) (-r1 s1) (mu/(gamma+delta)) (1 - q)]
-
-    It decays to 0 as x grows, which is what makes the barrier conditions
-    asymptotically decouple when b - a_c diverges.
-    """
-    gd = params.gamma + params.delta
-    pv = roots.pvfactor
-    r1, s1 = roots.r1, roots.s1
-    t = (-s1 * pv) / (-s1 + q * (r1 + s1))
-    er, es = _exps(r1 * x), _exps(s1 * x)
-    gx = er - es
-    gpx = r1 * er - s1 * es
-    num = roots.alpha + (pv - t) * es
-    den = gpx + gx * (-r1 * s1) * (params.mu / gd) * (1.0 - q)
-    return num / den
-
-
 def a_beta(params: ModelParams, roots: Roots, beta_prime: float | None = None) -> float:
     """Level where the periodic-zero value slope equals beta_prime (mu < 0).
 
@@ -141,7 +95,7 @@ def a_beta(params: ModelParams, roots: Roots, beta_prime: float | None = None) -
     pv = roots.pvfactor
     gd = params.gamma + params.delta
     k = -params.gamma * params.mu / gd**2  # > 0 for mu < 0
-    lo = _pz_d1(params, roots, 0.0)
+    lo = periodic_zero(params, roots, 0.0, 1)
     if not lo < bp < pv:
         raise OutOfRangeError(
             f"beta' must lie in (V'(0; pi0), pv) = ({lo:.6g}, {pv:.6g}), got {bp}"
@@ -156,7 +110,7 @@ def c_beta_chi(params: ModelParams, roots: Roots) -> float:
     more. Exists exactly when waiting loses at the slope-match level.
     """
     ab = a_beta(params, roots)
-    fn = lambda x: _pz_value(params, roots, x) - (params.beta * x - params.chi)
+    fn = lambda x: periodic_zero(params, roots, x) - (params.beta * x - params.chi)
     if not fn(ab) < 0.0:
         raise OutOfRangeError(
             "V(a_beta; pi0) >= beta a_beta - chi: no crossing point exists"
@@ -174,7 +128,7 @@ def cost_ratio_limit(
     """
     if params.mu >= 0.0:
         raise OutOfRangeError("cost_ratio_limit requires mu < 0")
-    lo = _pz_d1(params, roots, 0.0)
+    lo = periodic_zero(params, roots, 0.0, 1)
     pv = roots.pvfactor
     if not lo <= beta_prime < pv:
         raise OutOfRangeError(
@@ -183,7 +137,7 @@ def cost_ratio_limit(
     if beta_prime == lo:
         return 0.0
     ab = a_beta(params, roots, beta_prime)
-    return ab - _pz_value(params, roots, ab) / beta_prime
+    return ab - periodic_zero(params, roots, ab) / beta_prime
 
 
 def beta0(params: ModelParams, roots: Roots) -> float:
@@ -201,7 +155,7 @@ def beta0(params: ModelParams, roots: Roots) -> float:
             f"chi/beta = {target:.6g} >= -mu/(gamma+delta) = {-params.mu / gd:.6g}"
         )
     pv = roots.pvfactor
-    lo = _pz_d1(params, roots, 0.0)
+    lo = periodic_zero(params, roots, 0.0, 1)
     fn = lambda bp: cost_ratio_limit(params, roots, bp) - target
     hi = pv - (pv - lo) * 1e-15
     # the limit approaches -mu/(gamma+delta) only as beta' -> pv; tighten
@@ -273,10 +227,10 @@ def classify_regime(params: ModelParams, roots: Roots) -> Regime:
         return Regime.UNPROFITABLE_PERIODIC_ZERO
     if params.beta == pv:
         return Regime.UNPROFITABLE_LIQUIDATION_HALF
-    if params.beta <= _pz_d1(params, roots, 0.0):
+    if params.beta <= periodic_zero(params, roots, 0.0, 1):
         return Regime.UNPROFITABLE_PERIODIC_ZERO
     ab = a_beta(params, roots)
-    if _pz_value(params, roots, ab) < params.beta * ab - params.chi:
+    if periodic_zero(params, roots, ab) < params.beta * ab - params.chi:
         return Regime.UNPROFITABLE_LIQUIDATION_FINITE
     return Regime.UNPROFITABLE_PERIODIC_ZERO
 
@@ -299,44 +253,6 @@ def periodic_b0(params: ModelParams, roots: Roots) -> float:
 # hybrid solve
 
 
-def _hybrid_point(params: ModelParams, roots: Roots, a: float, l: float, y: float):
-    """V' at the three barriers for the raw triple (a, l, y); scalar-fast.
-
-    Returns (vp_a, vp_ac, vp_b, C). No admissibility checks: the solver
-    probes freely inside its search box.
-    """
-    r0, s0, r1, s1 = roots.r0, roots.s0, roots.r1, roots.s1
-    gd = params.gamma + params.delta
-    pv = roots.pvfactor
-    d = l + y
-    er0a, es0a = _exps(r0 * a), _exps(s0 * a)
-    er1d, es1d = _exps(r1 * d), _exps(s1 * d)
-    er1l, es1l = _exps(r1 * l), _exps(s1 * l)
-    fa = er0a - es0a
-    fpa = r0 * er0a - s0 * es0a
-    gdl = er1d - es1d - (er1l - es1l)
-    Jdl = -s1 * gdl + (r1 - s1) * (es1d - es1l)
-    num = (
-        (r1 - s1) * (roots.alpha * y - params.chi)
-        + pv * gdl
-        + (params.gamma * params.mu / gd**2) * Jdl
-    )
-    den = (params.delta / gd) * fa * Jdl + fpa * gdl
-    C = num / den
-    B = (params.delta / gd) * C * fa - pv * params.mu / gd
-    # cancellation-free form of A = (C f'(a) - B s1 - pv)/(r1 - s1): the
-    # direct difference loses all precision once it is multiplied by the
-    # growing exponential, this one never differences large terms
-    P = fpa - s1 * (params.delta / gd) * fa
-    curv = params.mu * fpa - params.delta * fa
-    A = ((roots.alpha * y - params.chi) * P + (pv / gd) * curv * (es1d - es1l)) / den
-    at, bt = A, B - A
-    vp_b = at * r1 * er1d + bt * s1 * es1d + pv
-    vp_ac = at * r1 * er1l + bt * s1 * es1l + pv
-    vp_a = C * fpa
-    return vp_a, vp_ac, vp_b, C
-
-
 def solve_hybrid(
     params: ModelParams,
     roots: Roots,
@@ -354,27 +270,18 @@ def solve_hybrid(
     if params.beta <= roots.pvfactor:
         raise OutOfRangeError("hybrid solve requires beta > gamma/(gamma+delta)")
     beta = params.beta
-    r1, s1 = roots.r1, roots.s1
     abar = roots.a_bar
-    len_r, len_s = 1.0 / r1, 1.0 / abs(s1)
-    # the optimal payment gap satisfies y* > chi/alpha; once that floor
-    # exceeds what the exponential guard admits, b* is out of reach and
-    # only the decoupled asymptotic description remains
-    if params.chi > 0.0 and params.chi / roots.alpha > 0.9 * _GUARD / r1:
-        raise OverflowGuardError(r1 * params.chi / roots.alpha, _GUARD)
+    len_r, len_s = 1.0 / roots.r1, 1.0 / abs(roots.s1)
+    kernel = hybrid_kernel(params, roots)
 
     def vp_b(a, l, y):
-        return _hybrid_point(params, roots, a, l, y)[2]
+        return kernel(a, l, y)[2]
 
     def y_root(a: float, l: float) -> float:
         # unique y with V'(b-) = beta at this (a, l)
         fn = lambda y: vp_b(a, l, y) - beta
-        y_cap = _GUARD / r1 - l
-        if y_cap <= 0.0:
-            raise OverflowGuardError(r1 * l, _GUARD)
         y0 = y_seed if y_seed is not None else 1e-6 * len_r
-        y0 = min(y0, 0.5 * y_cap)
-        lo, hi, flo, fhi = bracket_geometric(fn, y0, factor=1.7, x_max=y_cap)
+        lo, hi, flo, fhi = bracket_geometric(fn, y0, factor=1.7)
         return bisect_secant(fn, lo, hi, flo, fhi)
 
     def a_of_y(l: float, y: float) -> float:
@@ -390,25 +297,22 @@ def solve_hybrid(
     def inner(l: float) -> tuple[float, float]:
         # (a, y) with V'(b-) = beta and V'(a) = 1, or a = 0 with V'(0) <= 1.
         # Walk y upward from the a = a_bar fit: the matched a(y) falls and
-        # V'(a(y)) rises, so the first of {V'(a) = 1, a = 0} wins. The a = 0
-        # fit can sit beyond the overflow guard even when the solution does
-        # not, so it is never used as an anchor.
+        # V'(a(y)) rises, so the first of {V'(a) = 1, a = 0} wins.
         if abar == 0.0:
             return 0.0, y_root(0.0, l)
         y_lo = y_root(abar, l)
-        gap_lo = _hybrid_point(params, roots, abar, l, y_lo)[0] - 1.0
+        gap_lo = kernel(abar, l, y_lo)[0] - 1.0
         if gap_lo >= 0.0:
             return abar, y_lo
 
         def slope_gap(y: float) -> float:
             a = a_of_y(l, y)
-            return _hybrid_point(params, roots, a, l, y)[0] - 1.0
+            return kernel(a, l, y)[0] - 1.0
 
-        y_cap = _GUARD / r1 - l
         y_prev, gap_prev = y_lo, gap_lo
         y_cur = y_lo
         for _ in range(200):
-            y_cur = min(y_cur * 1.6, y_cap)
+            y_cur *= 1.6
             if vp_b(0.0, l, y_cur) >= beta:
                 # passed the a = 0 fit; unless the slope condition crossed
                 # just below it, the boundary case binds (a = 0, V'(0) <= 1)
@@ -427,13 +331,11 @@ def solve_hybrid(
                 ystar = bisect_secant(slope_gap, y_prev, y_cur, gap_prev, gap_cur)
                 return a_of_y(l, ystar), ystar
             y_prev, gap_prev = y_cur, gap_cur
-            if y_cur >= y_cap:
-                raise OverflowGuardError(r1 * (l + y_cap), _GUARD)
         raise NoBracketError("slope condition V'(a) = 1 not bracketed in y")
 
     def middle_gap(l: float) -> tuple[float, float, float]:
         a, y = inner(l)
-        return _hybrid_point(params, roots, a, l, y)[1] - beta, a, y
+        return kernel(a, l, y)[1] - beta, a, y
 
     gap0, a0, y0 = middle_gap(0.0)
     if gap0 <= 0.0:
@@ -476,31 +378,6 @@ def solve_hybrid(
     return report
 
 
-def _asymptotic_hybrid(params: ModelParams, roots: Roots, tol: float) -> SolveReport:
-    # beta so close to pv that b* overflows the guard: report the
-    # decoupled limits (periodic level for a_p, the x -> inf root of the
-    # separation function for l) and flag the result.
-    pv = roots.pvfactor
-    r1, s1 = roots.r1, roots.s1
-    ap = periodic_b0(params, roots)
-    q = 1.0 if ap == 0.0 else Q(params, roots, ap)
-    t = (-s1 * pv) / (-s1 + q * (r1 + s1))
-    if t > params.beta:
-        l = math.log(roots.alpha / (t - pv)) / s1
-    else:
-        l = 0.0
-    strategy = Hybrid(ap, ap + l, math.inf)
-    return SolveReport(
-        regime=Regime.PROFITABLE_HYBRID,
-        strategy=strategy,
-        residuals={},
-        boundary={"ap_zero": ap == 0.0, "ac_equals_ap": l == 0.0},
-        tol=tol,
-        asymptotic=True,
-        diagnostics={"note": "upper barrier beyond overflow guard; limits reported"},
-    )
-
-
 # ---------------------------------------------------------------------------
 # unprofitable solve
 
@@ -515,7 +392,7 @@ def _liq_d1_left(params: ModelParams, roots: Roots, b: float) -> float:
     w = math.exp((s1 - r1) * b)
     num = roots.alpha * b - params.chi - gm2 * (1.0 - math.exp(s1 * b))
     ratio = (r1 - s1 * w) / (1.0 - w)  # = g'(b)/g(b)
-    return num * ratio + _pz_d1(params, roots, b)
+    return num * ratio + periodic_zero(params, roots, b, 1)
 
 
 def solve_unprofitable(
@@ -601,12 +478,14 @@ def _enforce_tol(report: SolveReport) -> None:
         raise DivoptError(f"solver residuals exceed tol={report.tol}: {bad}")
 
 
-def solve(params: ModelParams, tol: float = 1e-10, **knobs) -> SolveReport:
+def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     """Classify the regime and compute the optimal strategy.
 
-    On an overflow-guard trip the solve retries once in rescaled monetary
-    units (which cures window-sizing pathologies); if the trip persists in
-    the hybrid regime it reports the asymptotic decomposition instead.
+    The hybrid kernel evaluates only exponentials at most 1, so hybrid
+    barriers come out finite however far out they lie. Raises
+    NoBracketError when a root search finds no sign change, and DivoptError
+    when the solved barriers miss their smooth-fit conditions by tol or
+    more.
     """
     roots = solve_roots(params)
     regime = classify_regime(params, roots)
@@ -627,23 +506,5 @@ def solve(params: ModelParams, tol: float = 1e-10, **knobs) -> SolveReport:
         _enforce_tol(report)
         return report
     if regime is Regime.PROFITABLE_HYBRID:
-        try:
-            return solve_hybrid(params, roots, tol, **knobs)
-        except OverflowGuardError:
-            pass
-        k = 1.0 / 1024.0
-        try:
-            scaled = solve_hybrid(params.rescaled(k), solve_roots(params.rescaled(k)), tol, **knobs)
-            st = scaled.strategy
-            report = SolveReport(
-                regime=scaled.regime,
-                strategy=Hybrid(st.a_p / k, st.a_c / k, st.b / k),
-                residuals=scaled.residuals,
-                boundary=scaled.boundary,
-                tol=tol,
-                diagnostics={"rescaled_by": k},
-            )
-            return report
-        except OverflowGuardError:
-            return _asymptotic_hybrid(params, roots, tol)
+        return solve_hybrid(params, roots, tol)
     return solve_unprofitable(params, roots, tol)

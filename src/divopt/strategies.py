@@ -31,7 +31,7 @@ class PeriodicBarrier:
 class Hybrid:
     a_p: float
     a_c: float
-    b: float  # may be math.inf for asymptotic (near-degenerate) reports
+    b: float  # math.inf never pays immediately; PeriodicBarrier(b) is Hybrid(b, b, inf)
 
     def __post_init__(self):
         if not 0.0 <= self.a_p <= self.a_c:

@@ -12,12 +12,20 @@ f, g, J and a small set of coefficients:
            beta (x - a_c) - chi + V(a_c)                x >= b
 
   C, B, A are the unique constants making V continuous at a and b and C^1
-  at a. On [a, b) the derivative takes the two-exponential form
-  A r1 e^{r1 u} + (B - A) s1 e^{s1 u} + pv.
+  at a. One kernel, hybrid_kernel, computes them in exponent-shifted form:
+  e^{r1 d} is factored out of the numerator and denominator of C, and A is
+  carried as A_hat = A e^{r1 d}, so every exponential it evaluates is at
+  most 1. This is the usual treatment of scale functions, whose scaled form
+  e^{-Phi(q) x} W^(q)(x) stays bounded (Kuznetsov, Kyprianou & Rivero 2012);
+  g is such a scale function. On [a, b), with u = x - a,
 
-* PeriodicBarrier(b): the hybrid branch structure in the limit of never
-  paying immediately (the immediate barrier pushed to infinity); C then
-  takes a closed-form limit independent of the removed barriers.
+    V(x) = A_hat e^{r1 (u - d)} + (B - A) e^{s1 u} + pv (u + mu/(g+d) + V(a))
+
+  and both exponential terms are bounded.
+
+* PeriodicBarrier(b) is Hybrid(b, b, inf): never paying immediately is the
+  d -> inf limit of the kernel, where A -> 0 and C tends to a closed form
+  independent of d.
 
 * PeriodicZero: V(x) = -(g mu/(g+d)^2) e^{s1 x} + pv (x + mu/(g+d)).
 
@@ -42,29 +50,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import J, ModelParams, Roots, exp_guarded, f, f_d1, f_d2, g
+from .core import ModelParams, Roots, f, f_d1, f_d2
 from .errors import DegenerateDenominatorError
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
 
 
 @dataclass(frozen=True)
 class HybridCoefficients:
-    """Constants (C, B, A) of the hybrid piecewise form, plus V(a)."""
+    """Constants C, B and A_hat = A e^{r1 (b - a)} of the hybrid form, plus V(a)."""
 
     C: float
     B: float
-    A: float
+    A_hat: float
     v_a: float  # V(a) = C f(a), cached to avoid branch recursion
-
-    @property
-    def a_tilde(self) -> float:
-        """Coefficient of e^{r1 u} in V' on the middle branch."""
-        return self.A
-
-    @property
-    def b_tilde(self) -> float:
-        """Coefficient of e^{s1 u} in V' on the middle branch."""
-        return self.B - self.A
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,96 @@ class LiquidationCoefficients:
     b2_coef: float | None
 
 
+def _affine(x, k: int, slope: float, intercept: float):
+    """k-th derivative of slope x + intercept."""
+    if k == 0:
+        return slope * x + intercept
+    return slope if k == 1 else 0.0
+
+
+def periodic_zero(params: ModelParams, roots: Roots, x, k: int = 0):
+    """k-th derivative (k = 0, 1, 2) of V(x; PeriodicZero).
+
+    Plain floats go through math.exp, since the solver's scans call this
+    once per point; arrays go through np.exp.
+    """
+    gd = params.gamma + params.delta
+    s1, pv = roots.s1, roots.pvfactor
+    exp = np.exp if isinstance(x, np.ndarray) else math.exp
+    return -params.gamma * params.mu / gd**2 * s1**k * exp(s1 * x) + _affine(
+        x, k, pv, pv * params.mu / gd
+    )
+
+
+def hybrid_kernel(params: ModelParams, roots: Roots):
+    """The hybrid closed form of one parameter set, as a function of (a, l, y).
+
+    kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
+    returns (vp_a, vp_ac, vp_b, v_ac, C, B, A_hat, den): V' at a, a_c and
+    b-, V(a_c), the coefficients with A_hat = A e^{r1 d} (d = l + y), and
+    the shifted denominator. With E = e^{-r1 d}, g(d,l) = g(d) - g(l) and
+    J(d,l) = J(d) - J(l):
+
+        den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
+        C     = [ (r1-s1)(alpha y - chi) E + pv g(d,l) E
+                  + (g mu/(g+d)^2) J(d,l) E ] / den
+        B     = (delta/(g+d)) C f(a) - pv mu/(g+d)
+        A_hat = [ (alpha y - chi) (f'(a) - s1 (delta/(g+d)) f(a))
+                  + (pv/(g+d)) (mu f'(a) - delta f(a)) (e^{s1 d} - e^{s1 l}) ] / den
+
+    A_hat is the cancellation-free form of (C f'(a) - B s1 - pv) e^{r1 d}
+    / (r1 - s1). Every exponential evaluated is at most 1, so nothing
+    overflows however large r1 d is, and y = inf gives the b = inf limit.
+
+    Plain floats go through math.exp (a hybrid solve makes thousands of
+    calls), arrays through np.exp with broadcasting. No admissibility
+    checks: the solver probes freely inside its search box.
+    """
+    r0, s0, r1, s1 = roots.r0, roots.s0, roots.r1, roots.s1
+    alpha, chi, mu, delta = roots.alpha, params.chi, params.mu, params.delta
+    gd = params.gamma + delta
+    pv = roots.pvfactor
+    k = delta / gd
+    c_gap, c_J, m1, c_curv = r1 - s1, params.gamma * mu / gd**2, mu / gd, pv / gd
+    ndarray = np.ndarray
+
+    def kernel(a, l, y):
+        lin = alpha * y - chi
+        if isinstance(a, ndarray) or isinstance(l, ndarray) or isinstance(y, ndarray):
+            exp = np.exp
+        else:
+            exp = math.exp
+            if y == math.inf:
+                lin = 0.0  # it only meets factors E -> 0 and e^{r1 (u - d)} -> 0
+        er0a, es0a = exp(r0 * a), exp(s0 * a)
+        fa, fpa = er0a - es0a, r0 * er0a - s0 * es0a
+        es1d, es1l = exp(s1 * (l + y)), exp(s1 * l)
+        ey = exp(-r1 * y)  # e^{r1 l} E
+        E = ey * exp(-r1 * l)
+        gdl = 1.0 - es1d * E - ey + es1l * E
+        Jdl = -s1 * gdl + c_gap * (es1d - es1l) * E
+        den = k * fa * Jdl + fpa * gdl
+        C = (c_gap * lin * E + pv * gdl + c_J * Jdl) / den
+        B = k * C * fa - pv * m1
+        A_hat = (
+            lin * (fpa - s1 * k * fa) + c_curv * (mu * fpa - delta * fa) * (es1d - es1l)
+        ) / den
+        bt = B - A_hat * E  # B - A
+        vp_ac = A_hat * r1 * ey + bt * s1 * es1l + pv
+        vp_b = A_hat * r1 + bt * s1 * es1d + pv
+        v_ac = A_hat * (ey - es1l * E) + B * es1l + pv * (l + m1 + C * fa)
+        return C * fpa, vp_ac, vp_b, v_ac, C, B, A_hat, den
+
+    return kernel
+
+
 def hybrid_coefficients(
     params: ModelParams, roots: Roots, a: float, a_c: float, b: float
 ) -> HybridCoefficients:
-    """Coefficients of V(.; Hybrid(a, a_c, b)).
-
-    With d = b - a, l = a_c - a, g(d,l) = g(d) - g(l), J(d,l) = J(d) - J(l):
-
-        C = [ (r1-s1)(alpha (d-l) - chi) + pv g(d,l) + (g mu/(g+d)^2) J(d,l) ]
-            / [ (delta/(g+d)) f(a) J(d,l) + f'(a) g(d,l) ]
-        B = (delta/(g+d)) C f(a) - pv mu/(g+d)
-        A = (C f'(a) - B s1 - pv) / (r1 - s1)
+    """Coefficients of V(.; Hybrid(a, a_c, b)), from hybrid_kernel.
 
     Requires b > a_c + chi/beta (immediate payments must net strictly
-    positive) and 0 <= a <= a_c.
+    positive) and 0 <= a <= a_c; b may be infinite.
     """
     if not 0.0 <= a <= a_c:
         raise ValueError(f"need 0 <= a <= a_c, got ({a}, {a_c})")
@@ -100,63 +174,23 @@ def hybrid_coefficients(
         raise ValueError(
             f"need b > a_c + chi/beta = {a_c + params.chi / params.beta}, got b={b}"
         )
-    gd = params.gamma + params.delta
-    pv = roots.pvfactor
-    l = a_c - a
-    d = b - a
-    if math.isinf(b):
-        # Limit of never paying immediately: A = 0 and C takes the
-        # closed-form limit (the d-dependent ratios converge).
-        C = _periodic_barrier_C(params, roots, a)
-        B = (params.delta / gd) * C * f(roots, a) - pv * params.mu / gd
-        v_a = C * f(roots, a)
-        return HybridCoefficients(C=C, B=B, A=(B - B), v_a=v_a)
-    gdl = g(roots, d) - g(roots, l)
-    Jdl = J(roots, d) - J(roots, l)
-    den = (params.delta / gd) * f(roots, a) * Jdl + f_d1(roots, a) * gdl
-    # compare against the undifferenced magnitudes: a denominator this many
-    # orders below them is pure cancellation noise, not a number
-    den_scale = (params.delta / gd) * f(roots, a) * J(roots, d) + f_d1(roots, a) * g(
-        roots, d
-    )
-    if den == 0.0 or abs(den) <= 1e-12 * den_scale:
+    *_, C, B, A_hat, den = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
+    fa, fpa = float(f(roots, a)), float(f_d1(roots, a))
+    # den tends to f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
+    # denominator this many orders below that is cancellation noise
+    scale = fpa - roots.s1 * params.delta / (params.gamma + params.delta) * fa
+    if not abs(den) > 1e-12 * scale:
         raise DegenerateDenominatorError(
             f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
         )
-    num = (
-        (roots.r1 - roots.s1) * (roots.alpha * (d - l) - params.chi)
-        + pv * gdl
-        + (params.gamma * params.mu / gd**2) * Jdl
-    )
-    C = num / den
-    B = (params.delta / gd) * C * f(roots, a) - pv * params.mu / gd
-    # cancellation-free equivalent of (C f'(a) - B s1 - pv)/(r1 - s1);
-    # exact up to rounding and stable when A is exponentially small
-    fa, fpa = float(f(roots, a)), float(f_d1(roots, a))
-    P = fpa - roots.s1 * (params.delta / gd) * fa
-    curv = params.mu * fpa - params.delta * fa
-    A = (
-        (roots.alpha * (d - l) - params.chi) * P
-        + (pv / gd)
-        * curv
-        * (exp_guarded(roots.s1 * d) - exp_guarded(roots.s1 * l))
-    ) / den
-    return HybridCoefficients(C=C, B=B, A=A, v_a=C * fa)
-
-
-def _periodic_barrier_C(params: ModelParams, roots: Roots, a: float) -> float:
-    # l -> infinity limit of the hybrid C at lower barrier a.
-    gd = params.gamma + params.delta
-    num = params.gamma * params.mu / gd**2 - roots.pvfactor / roots.s1
-    den = (params.delta / gd) * f(roots, a) - f_d1(roots, a) / roots.s1
-    return num / den
+    return HybridCoefficients(C=C, B=B, A_hat=A_hat, v_a=C * fa)
 
 
 def liquidation_A(params: ModelParams, roots: Roots, b1: float) -> float:
     """A(b1) = [alpha b1 - chi - (g mu/(g+d)^2)(1 - e^{s1 b1})] / g(b1).
 
     The division is carried out in exponent-shifted form so large r1 b1
-    underflows to the true near-zero value instead of tripping the guard.
+    underflows to the true near-zero value instead of overflowing.
     """
     if not b1 > 0.0:
         raise ValueError(f"b1 must be > 0, got {b1}")
@@ -183,99 +217,48 @@ class ValueFunction:
         pv = roots.pvfactor
         m1 = params.mu / gd
         r1, s1 = roots.r1, roots.s1
-        pz_k = -params.gamma * params.mu / gd**2
+        beta, chi = params.beta, params.chi
 
-        pieces = []  # (upper_bound, v, d1, d2); last upper bound is inf
+        def pz(x, k):
+            return periodic_zero(params, roots, x, k)
 
-        def pz_piece():
-            return (
-                math.inf,
-                lambda x: pz_k * exp_guarded(s1 * x) + pv * (x + m1),
-                lambda x: pz_k * s1 * exp_guarded(s1 * x) + pv,
-                lambda x: pz_k * s1 * s1 * exp_guarded(s1 * x),
-            )
+        # (upper_bound, fn) with fn(x, k) the k-th derivative on the piece;
+        # the last upper bound is inf
+        pieces = []
 
         if isinstance(strategy, PeriodicZero):
-            pieces.append(pz_piece())
+            pieces.append((math.inf, pz))
             self.kinks: tuple[float, ...] = ()
             self.coefficients = None
 
-        elif isinstance(strategy, PeriodicBarrier):
-            b = strategy.b
-            C = _periodic_barrier_C(params, roots, b)
-            v_b = C * f(roots, b)
-            B = (params.delta / gd) * C * f(roots, b) - pv * m1
-            if b > 0.0:
-                pieces.append(
-                    (
-                        b,
-                        lambda x: C * f(roots, x),
-                        lambda x: C * f_d1(roots, x),
-                        lambda x: C * f_d2(roots, x),
-                    )
-                )
-            pieces.append(
-                (
-                    math.inf,
-                    lambda x: B * exp_guarded(s1 * (x - b)) + pv * (x - b + m1 + v_b),
-                    lambda x: B * s1 * exp_guarded(s1 * (x - b)) + pv,
-                    lambda x: B * s1 * s1 * exp_guarded(s1 * (x - b)),
-                )
-            )
-            self.kinks = (b,) if b > 0.0 else ()
-            self.coefficients = C
+        elif isinstance(strategy, (Hybrid, PeriodicBarrier)):
+            if isinstance(strategy, Hybrid):
+                a, a_c, b = strategy.a_p, strategy.a_c, strategy.b
+            else:
+                a, a_c, b = strategy.b, strategy.b, math.inf
+            co = hybrid_coefficients(params, roots, a, a_c, b)
+            C, A_hat, d = co.C, co.A_hat, b - a
+            bt = co.B - A_hat * math.exp(-r1 * d)  # B - A
+            c0 = pv * (m1 + co.v_a - a)
 
-        elif isinstance(strategy, Hybrid):
-            a, a_c, b = strategy.a_p, strategy.a_c, strategy.b
-            coefs = hybrid_coefficients(params, roots, a, a_c, b)
-            at, bt = coefs.a_tilde, coefs.b_tilde
-            c0 = m1 + coefs.v_a
-
-            def mid_v(x):
-                u = np.asarray(x, dtype=float) - a
-                return (
-                    at * exp_guarded(r1 * u)
-                    + bt * exp_guarded(s1 * u)
-                    + pv * (u + c0)
-                )
-
-            def mid_d1(x):
-                u = np.asarray(x, dtype=float) - a
-                return at * r1 * exp_guarded(r1 * u) + bt * s1 * exp_guarded(s1 * u) + pv
-
-            def mid_d2(x):
-                u = np.asarray(x, dtype=float) - a
-                return at * r1 * r1 * exp_guarded(r1 * u) + bt * s1 * s1 * exp_guarded(
-                    s1 * u
-                )
+            def mid(x, k):
+                v = bt * s1**k * np.exp(s1 * (x - a)) + _affine(x, k, pv, c0)
+                if d < math.inf:  # at b = inf the r1 term is 0 everywhere
+                    v += A_hat * r1**k * np.exp(r1 * (x - b))
+                return v
 
             if a > 0.0:
+                pieces.append((a, lambda x, k: C * (f, f_d1, f_d2)[k](roots, x)))
+            pieces.append((b, mid))
+            if math.isfinite(b):
+                v_ac = float(mid(np.float64(a_c), 0))
                 pieces.append(
-                    (
-                        a,
-                        lambda x: coefs.C * f(roots, x),
-                        lambda x: coefs.C * f_d1(roots, x),
-                        lambda x: coefs.C * f_d2(roots, x),
-                    )
-                )
-            if math.isinf(b):
-                pieces.append((math.inf, mid_v, mid_d1, mid_d2))
-                self.kinks = ()
-            else:
-                pieces.append((b, mid_v, mid_d1, mid_d2))
-                v_ac = float(mid_v(a_c))
-                pieces.append(
-                    (
-                        math.inf,
-                        lambda x: params.beta * (np.asarray(x, float) - a_c)
-                        - params.chi
-                        + v_ac,
-                        lambda x: np.full_like(np.asarray(x, float), params.beta),
-                        lambda x: np.zeros_like(np.asarray(x, float)),
-                    )
+                    (math.inf, lambda x, k: _affine(x, k, beta, v_ac - beta * a_c - chi))
                 )
                 self.kinks = (b,)
-            self.coefficients = coefs
+            else:
+                self.kinks = (a,) if a > 0.0 else ()
+            self.coefficients = co
 
         elif isinstance(strategy, Liquidation):
             b1, b2 = strategy.b1, strategy.b2
@@ -284,61 +267,26 @@ class ValueFunction:
             # numerator is O(1) and the ratio stays bounded on [0, b1]
             # even when g(b1) itself would overflow
             gm2 = params.gamma * params.mu / gd**2
-            num = params.alpha * b1 - params.chi - gm2 * (
-                1.0 - math.exp(s1 * b1)
-            )
-            den1 = 1.0 - math.exp((s1 - r1) * b1)  # g(b1) e^{-r1 b1}
+            num = params.alpha * b1 - chi - gm2 * (1.0 - math.exp(s1 * b1))
+            ratio = num / (1.0 - math.exp((s1 - r1) * b1))  # num e^{r1 b1}/g(b1)
 
-            def ag(x, c_r=1.0, c_s=1.0):
-                x = np.asarray(x, dtype=float)
-                return (
-                    num
-                    * (
-                        c_r * exp_guarded(r1 * (x - b1))
-                        - c_s * exp_guarded(s1 * x - r1 * b1)
-                    )
-                    / den1
-                )
+            def lower(x, k):
+                return ratio * (
+                    r1**k * np.exp(r1 * (x - b1)) - s1**k * np.exp(s1 * x - r1 * b1)
+                ) + pz(x, k)
 
-            pieces.append(
-                (
-                    b1,
-                    lambda x: ag(x)
-                    + pz_k * exp_guarded(s1 * np.asarray(x, float))
-                    + pv * (np.asarray(x, float) + m1),
-                    lambda x: ag(x, r1, s1)
-                    + pz_k * s1 * exp_guarded(s1 * np.asarray(x, float))
-                    + pv,
-                    lambda x: ag(x, r1 * r1, s1 * s1)
-                    + pz_k * s1 * s1 * exp_guarded(s1 * np.asarray(x, float)),
-                )
-            )
-            pieces.append(
-                (
-                    b2,
-                    lambda x: params.beta * np.asarray(x, float) - params.chi,
-                    lambda x: np.full_like(np.asarray(x, float), params.beta),
-                    lambda x: np.zeros_like(np.asarray(x, float)),
-                )
-            )
+            pieces.append((b1, lower))
+            pieces.append((b2, lambda x, k: _affine(x, k, beta, -chi)))
             if math.isinf(b2):
                 b2c = None
                 self.kinks = (b1,)
             else:
-                b2c = params.beta * b2 - params.chi - pv * (b2 + m1)
+                b2c = beta * b2 - chi - pv * (b2 + m1)
                 pieces.append(
                     (
                         math.inf,
-                        lambda x: b2c * exp_guarded(s1 * (np.asarray(x, float) - b2))
-                        + pv * (np.asarray(x, float) + m1),
-                        lambda x: b2c
-                        * s1
-                        * exp_guarded(s1 * (np.asarray(x, float) - b2))
-                        + pv,
-                        lambda x: b2c
-                        * s1
-                        * s1
-                        * exp_guarded(s1 * (np.asarray(x, float) - b2)),
+                        lambda x, k: b2c * s1**k * np.exp(s1 * (x - b2))
+                        + _affine(x, k, pv, pv * m1),
                     )
                 )
                 self.kinks = (b1, b2)
@@ -348,9 +296,9 @@ class ValueFunction:
             raise TypeError(f"unknown strategy type: {strategy!r}")
 
         self._pieces = pieces
-        self.breakpoints = tuple(ub for ub, *_ in pieces[:-1])
+        self.breakpoints = tuple(ub for ub, _ in pieces[:-1])
 
-    def _eval(self, x, which: int, side: str):
+    def _eval(self, x, k: int, side: str):
         # side='right': piece i covers [lo_i, ub_i). side='left': (lo_i, ub_i],
         # except the first piece, which is closed at 0 so that x = 0 always
         # yields the right limit. x < 0 falls through to 0.
@@ -361,14 +309,13 @@ class ValueFunction:
         xv = np.atleast_1d(x)
         out = np.zeros_like(xv)
         lo = 0.0
-        for i, (ub, *fns) in enumerate(self._pieces):
-            fn = fns[which]
+        for i, (ub, fn) in enumerate(self._pieces):
             if side == "left":
                 sel = (xv > lo) & (xv <= ub) if i > 0 else (xv >= 0.0) & (xv <= ub)
             else:
                 sel = (xv >= lo) & (xv < ub)
             if sel.any():
-                out[sel] = fn(xv[sel])
+                out[sel] = fn(xv[sel], k)
             lo = ub
         return float(out[0]) if scalar else out
 
@@ -380,18 +327,3 @@ class ValueFunction:
 
     def d2(self, x, side: str = "left"):
         return self._eval(x, 2, side)
-
-
-def value(params: ModelParams, roots: Roots, strategy: Strategy, x):
-    """V(x; strategy); 0 for x < 0."""
-    return ValueFunction(params, roots, strategy)(x)
-
-
-def value_d1(params: ModelParams, roots: Roots, strategy: Strategy, x, side="left"):
-    """Analytic V'(x; strategy); one-sided at kinks (left by default)."""
-    return ValueFunction(params, roots, strategy).d1(x, side=side)
-
-
-def value_d2(params: ModelParams, roots: Roots, strategy: Strategy, x, side="left"):
-    """Analytic V''(x; strategy); one-sided at kinks (left by default)."""
-    return ValueFunction(params, roots, strategy).d2(x, side=side)

@@ -7,7 +7,8 @@ Three oracles, deliberately decoupled from the solver internals:
   payment sizes. It consumes only the value-function evaluator.
 * brute_force_hybrid exhaustively maximises the hybrid objective
   V(a_c) - beta a_c over a barrier lattice, using only the closed-form
-  coefficients.
+  kernel it shares with the solver (so it judges the search, not the
+  formula; check_hjb and the Monte Carlo engine judge the formula).
 * audit_derivative_pattern verifies the characteristic slope bands of an
   optimal hybrid value function (V' > 1 below a_p, between beta and 1 on
   (a_p, a_c), between 0 and beta on (a_c, b), constant beta beyond b).
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelParams, Roots, exp_guarded, f, f_d1
+from .core import ModelParams, Roots
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy
-from .values import ValueFunction
+from .values import ValueFunction, hybrid_kernel
 
 
 @dataclass
@@ -148,31 +149,11 @@ class GridSearchResult:
 
 
 def hybrid_objective(params: ModelParams, roots: Roots, a, l, y):
-    """V(a_c) - beta a_c from the closed-form coefficients; broadcasts."""
+    """V(a_c) - beta a_c from the hybrid kernel; broadcasts."""
     a = np.asarray(a, dtype=float)
     l = np.asarray(l, dtype=float)
     y = np.asarray(y, dtype=float)
-    gd = params.gamma + params.delta
-    pv = roots.pvfactor
-    r1, s1 = roots.r1, roots.s1
-    d = l + y
-    fa, fpa = f(roots, a), f_d1(roots, a)
-    er1d, es1d = exp_guarded(r1 * d), exp_guarded(s1 * d)
-    er1l, es1l = exp_guarded(r1 * l), exp_guarded(s1 * l)
-    gdl = er1d - es1d - (er1l - es1l)
-    Jdl = -s1 * gdl + (r1 - s1) * (es1d - es1l)
-    num = (
-        (r1 - s1) * (roots.alpha * y - params.chi)
-        + pv * gdl
-        + (params.gamma * params.mu / gd**2) * Jdl
-    )
-    den = (params.delta / gd) * fa * Jdl + fpa * gdl
-    C = num / den
-    B = (params.delta / gd) * C * fa - pv * params.mu / gd
-    A = (C * fpa - B * s1 - pv) / (r1 - s1)
-    gl = er1l - es1l
-    v_ac = A * gl + B * es1l + pv * (l + params.mu / gd + C * fa)
-    return v_ac - params.beta * (a + l)
+    return hybrid_kernel(params, roots)(a, l, y)[3] - params.beta * (a + l)
 
 
 def brute_force_hybrid(

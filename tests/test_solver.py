@@ -312,3 +312,44 @@ class TestThresholdApproach:
         sts = [solve(mk(beta=pv + eps)).strategy for eps in (6e-3, 3e-3, 1.5e-3)]
         assert sts[0].a_c < sts[1].a_c < sts[2].a_c
         assert sts[0].b < sts[1].b < sts[2].b
+
+
+class TestLargeBarriers:
+    """Points with r1 b > 700, where unshifted exponentials overflow, and
+    points whose slope residuals need root brackets narrower than 1e-12."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # r1 b is about 10,584
+            ModelParams(0.029488273489697736, 0.1294720017823323, 0.3273737875702447,
+                        0.8158993355218084, 2.1500380445484915, 0.48674447953138505),
+            # b is about 6,976
+            ModelParams(0.43158022021548037, 1.8365737108514044, 0.1627946028491065,
+                        0.5515639313615421, 0.8059482717258291, 0.6553191894801308),
+        ],
+    )
+    def test_far_upper_barrier_is_finite_and_verified(self, p):
+        from divopt import check_hjb
+
+        r = solve_roots(p)
+        rep = solve(p)
+        assert rep.regime is Regime.PROFITABLE_HYBRID
+        assert math.isfinite(rep.strategy.b) and r.r1 * rep.strategy.b > 700.0
+        assert set(rep.residuals) == {"vprime_b", "vprime_ac", "vprime_ap"}
+        assert all(v < 1e-10 for v in rep.residuals.values())
+        assert check_hjb(p, r, rep.strategy).passed
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(1.817558808672406, 0.22869256835002977, 0.16817619226985148,
+                        0.47836509491682855, 0.29993524780712805, 0.36738331186738865),
+            ModelParams(1.6063393809818285, 0.10000831696177327, 0.3620558777554608,
+                        0.9792805999060458, 0.7033870203409616, 0.28549298009381696),
+        ],
+    )
+    def test_residual_gate_met(self, p):
+        rep = solve(p)
+        assert rep.regime is Regime.PROFITABLE_HYBRID
+        assert all(v < 1e-10 for v in rep.residuals.values())

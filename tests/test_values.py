@@ -16,10 +16,9 @@ from divopt import (
     liquidation_A,
     solve,
     solve_roots,
-    value,
-    value_d1,
-    value_d2,
 )
+from divopt.values import hybrid_kernel
+from divopt.verify import hybrid_objective
 
 
 @pytest.fixture(scope="module")
@@ -85,19 +84,66 @@ class TestHybridCoefficients:
             hybrid_coefficients(p, pos_roots, 0.1, 0.4, 0.4 + 1e-15)
 
 
+class TestHybridKernel:
+    @pytest.mark.parametrize(
+        "a, l, y",
+        [(0.3, 0.1, 1.0), (0.0, 0.0, 0.5), (0.2, 2.0, 40.0), (0.1, 5.0, 900.0), (0.0, 0.3, 1e4)],
+    )
+    def test_solver_view_matches_value_function(self, pos_params, pos_roots, a, l, y):
+        # the solver reads V' at the barriers straight from the kernel; the
+        # evaluator builds its pieces from the same coefficients
+        vp_a, vp_ac, vp_b, *_ = hybrid_kernel(pos_params, pos_roots)(a, l, y)
+        st = Hybrid(a, a + l, a + l + y)
+        vf = ValueFunction(pos_params, pos_roots, st)
+        # d1 at a_p = 0 is the right limit: the kernel's vp_a there is C f'(0)
+        assert vp_a == pytest.approx(float(vf.d1(st.a_p)), rel=1e-12)
+        assert vp_ac == pytest.approx(float(vf.d1(st.a_c)), rel=1e-12)
+        assert vp_b == pytest.approx(float(vf.d1(st.b, side="left")), rel=1e-12)
+        obj = float(hybrid_objective(pos_params, pos_roots, a, l, y))
+        ref = float(vf(st.a_c)) - pos_params.beta * st.a_c
+        assert obj == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_every_exponential_is_bounded(self, pos_params, pos_roots):
+        # r1 d in the tens of thousands: all outputs stay finite
+        out = hybrid_kernel(pos_params, pos_roots)(0.2, 3.0, 5e4)
+        assert all(math.isfinite(v) for v in out)
+        arr = hybrid_kernel(pos_params, pos_roots)(
+            np.array([0.2]), np.array([3.0]), np.array([5e4])
+        )
+        assert np.allclose(np.concatenate(arr), out, rtol=1e-12)
+
+    def test_infinite_b_is_the_periodic_limit(self, pos_params, pos_roots):
+        # d -> inf: A -> 0 and C tends to the closed form below
+        from divopt import f as f_, f_d1
+
+        r = pos_roots
+        gd = pos_params.gamma + pos_params.delta
+        for a in (0.0, 0.2, 0.45):
+            lim = (pos_params.gamma * pos_params.mu / gd**2 - r.pvfactor / r.s1) / (
+                pos_params.delta / gd * float(f_(r, a)) - float(f_d1(r, a)) / r.s1
+            )
+            co = hybrid_coefficients(pos_params, pos_roots, a, a, math.inf)
+            assert co.C == pytest.approx(lim, rel=1e-12)
+            pb = ValueFunction(pos_params, pos_roots, PeriodicBarrier(a))
+            hy = ValueFunction(pos_params, pos_roots, Hybrid(a, a, math.inf))
+            xs = np.linspace(0.0, a + 3.0, 50)
+            assert np.array_equal(pb(xs), hy(xs))
+            assert np.all(np.isfinite(pb.d2(xs)))
+
+
 class TestValueExamples:
     def test_zero_at_origin_for_every_family(self, pos_params, pos_roots, neg_params, neg_roots):
-        assert value(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3), 0.0) == 0.0
-        assert value(pos_params, pos_roots, PeriodicBarrier(0.7), 0.0) == 0.0
-        assert value(neg_params, neg_roots, PeriodicZero(), 0.0) == 0.0
-        assert value(neg_params, neg_roots, Liquidation(0.3, 2.7), 0.0) == 0.0
+        assert ValueFunction(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3))(0.0) == 0.0
+        assert ValueFunction(pos_params, pos_roots, PeriodicBarrier(0.7))(0.0) == 0.0
+        assert ValueFunction(neg_params, neg_roots, PeriodicZero())(0.0) == 0.0
+        assert ValueFunction(neg_params, neg_roots, Liquidation(0.3, 2.7))(0.0) == 0.0
 
     def test_ruined_region_is_zero(self, pos_params, pos_roots):
-        assert value(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3), -0.5) == 0.0
+        assert ValueFunction(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3))(-0.5) == 0.0
 
     def test_periodic_zero_asymptotic_slope(self, neg_params, neg_roots):
         # e^{s1 x} -> 0 leaves the linear term with slope gamma/(gamma+delta)
-        d1 = value_d1(neg_params, neg_roots, PeriodicZero(), 40.0)
+        d1 = ValueFunction(neg_params, neg_roots, PeriodicZero()).d1(40.0)
         assert d1 == pytest.approx(neg_params.pvfactor, abs=1e-12)
 
     def test_linear_branch_slope_is_beta(self, pos_params, pos_roots):
@@ -258,10 +304,3 @@ class TestSideSelector:
         vf = ValueFunction(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3))
         assert float(vf.d1(0.0, side="left")) == float(vf.d1(0.0, side="right"))
         assert float(vf.d1(0.0)) > 0.0
-
-    def test_wrappers_agree_with_evaluator(self, pos_params, pos_roots):
-        st = Hybrid(0.3, 0.4, 1.3)
-        vf = ValueFunction(pos_params, pos_roots, st)
-        assert value(pos_params, pos_roots, st, 0.7) == float(vf(0.7))
-        assert value_d1(pos_params, pos_roots, st, 0.7) == float(vf.d1(0.7))
-        assert value_d2(pos_params, pos_roots, st, 0.7) == float(vf.d2(0.7))

@@ -169,3 +169,19 @@ class TestValueDominance:
             cand = Hybrid(a, a + l, a + l + y)
             vc = ValueFunction(pos_params, pos_roots, cand)
             assert np.all(vf_star(xs) >= vc(xs) - 1e-6)
+
+
+def test_lattice_evaluates_far_upper_barriers():
+    # a hybrid with b = 140.7: criterion 3's lattice reaches r1 (l + y)
+    # beyond 900, where unshifted exponentials overflow
+    p = ModelParams(0.7153723156949918, 0.2750105483646734, 0.26754445645052516,
+                    0.3719527995230263, 0.46372960630358384, 0.7894698917156511)
+    r = solve_roots(p)
+    st = solve(p).strategy
+    l_star, y_star = st.a_c - st.a_p, st.b - st.a_c
+    bounds = (4.0 * l_star + 2.0 / abs(r.s1), 4.0 * y_star + 2.0 / r.r1)
+    assert r.r1 * (bounds[0] + bounds[1]) > 700.0
+    grid = brute_force_hybrid(p, r, bounds, n_per_axis=40)
+    assert np.isfinite(grid.objective)
+    obj = float(hybrid_objective(p, r, st.a_p, l_star, y_star))
+    assert obj >= grid.objective - 1e-6
