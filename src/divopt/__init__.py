@@ -54,7 +54,6 @@ from .solver import (
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
 from .values import (
     HybridCoefficients,
-    LiquidationCoefficients,
     ValueFunction,
     hybrid_coefficients,
     liquidation_A,
@@ -83,7 +82,6 @@ __all__ = [
     "J",
     "J_d1",
     "Liquidation",
-    "LiquidationCoefficients",
     "ModelParams",
     "NoBracketError",
     "OutOfRangeError",

@@ -36,7 +36,7 @@ from .core import ModelParams, Roots, f, f_d1, solve_roots
 from .errors import DivoptError, NoBracketError, OutOfRangeError
 from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
-from .values import ValueFunction, hybrid_kernel, periodic_zero
+from .values import ValueFunction, _liquidation_numerator, hybrid_kernel, periodic_zero
 
 
 class Regime(enum.Enum):
@@ -386,11 +386,9 @@ def _liq_d1_left(params: ModelParams, roots: Roots, b: float) -> float:
     # V'(b-; pi_{b, .}) = A(b) g'(b) + V'(b; pi0); independent of the upper
     # barrier. A g' is evaluated through the bounded ratio g'/g (the two
     # factors overflow separately once r1 b is large, their product not).
-    gd = params.gamma + params.delta
-    gm2 = params.gamma * params.mu / gd**2
     r1, s1 = roots.r1, roots.s1
     w = math.exp((s1 - r1) * b)
-    num = roots.alpha * b - params.chi - gm2 * (1.0 - math.exp(s1 * b))
+    num = _liquidation_numerator(params, roots, b)
     ratio = (r1 - s1 * w) / (1.0 - w)  # = g'(b)/g(b)
     return num * ratio + periodic_zero(params, roots, b, 1)
 

@@ -65,18 +65,6 @@ class HybridCoefficients:
     v_a: float  # V(a) = C f(a), cached to avoid branch recursion
 
 
-@dataclass(frozen=True)
-class LiquidationCoefficients:
-    """A of the lower branch and, for finite b2, the upper-branch constant.
-
-    b2_coef multiplies e^{s1 (x - b2)}; the shift keeps the stored number
-    of moderate size for large b2. None when b2 is infinite.
-    """
-
-    A: float
-    b2_coef: float | None
-
-
 def _affine(x, k: int, slope: float, intercept: float):
     """k-th derivative of slope x + intercept."""
     if k == 0:
@@ -186,6 +174,12 @@ def hybrid_coefficients(
     return HybridCoefficients(C=C, B=B, A_hat=A_hat, v_a=C * fa)
 
 
+def _liquidation_numerator(params: ModelParams, roots: Roots, b: float) -> float:
+    """alpha b - chi - (g mu/(g+d)^2)(1 - e^{s1 b}), the numerator of A(b) g(b)."""
+    gm2 = params.gamma * params.mu / (params.gamma + params.delta) ** 2
+    return roots.alpha * b - params.chi - gm2 * (1.0 - math.exp(roots.s1 * b))
+
+
 def liquidation_A(params: ModelParams, roots: Roots, b1: float) -> float:
     """A(b1) = [alpha b1 - chi - (g mu/(g+d)^2)(1 - e^{s1 b1})] / g(b1).
 
@@ -194,9 +188,7 @@ def liquidation_A(params: ModelParams, roots: Roots, b1: float) -> float:
     """
     if not b1 > 0.0:
         raise ValueError(f"b1 must be > 0, got {b1}")
-    gd = params.gamma + params.delta
-    gm2 = params.gamma * params.mu / gd**2
-    num = roots.alpha * b1 - params.chi - gm2 * (1.0 - math.exp(roots.s1 * b1))
+    num = _liquidation_numerator(params, roots, b1)
     return num * math.exp(-roots.r1 * b1) / (1.0 - math.exp((roots.s1 - roots.r1) * b1))
 
 
@@ -229,7 +221,6 @@ class ValueFunction:
         if isinstance(strategy, PeriodicZero):
             pieces.append((math.inf, pz))
             self.kinks: tuple[float, ...] = ()
-            self.coefficients = None
 
         elif isinstance(strategy, (Hybrid, PeriodicBarrier)):
             if isinstance(strategy, Hybrid):
@@ -258,16 +249,13 @@ class ValueFunction:
                 self.kinks = (b,)
             else:
                 self.kinks = (a,) if a > 0.0 else ()
-            self.coefficients = co
 
         elif isinstance(strategy, Liquidation):
             b1, b2 = strategy.b1, strategy.b2
-            A = liquidation_A(params, roots, b1)
             # A g(x) evaluated in ratio form A g(x) = num g(x)/g(b1): the
             # numerator is O(1) and the ratio stays bounded on [0, b1]
             # even when g(b1) itself would overflow
-            gm2 = params.gamma * params.mu / gd**2
-            num = params.alpha * b1 - chi - gm2 * (1.0 - math.exp(s1 * b1))
+            num = _liquidation_numerator(params, roots, b1)
             ratio = num / (1.0 - math.exp((s1 - r1) * b1))  # num e^{r1 b1}/g(b1)
 
             def lower(x, k):
@@ -278,7 +266,6 @@ class ValueFunction:
             pieces.append((b1, lower))
             pieces.append((b2, lambda x, k: _affine(x, k, beta, -chi)))
             if math.isinf(b2):
-                b2c = None
                 self.kinks = (b1,)
             else:
                 b2c = beta * b2 - chi - pv * (b2 + m1)
@@ -290,7 +277,6 @@ class ValueFunction:
                     )
                 )
                 self.kinks = (b1, b2)
-            self.coefficients = LiquidationCoefficients(A=A, b2_coef=b2c)
 
         else:
             raise TypeError(f"unknown strategy type: {strategy!r}")

@@ -4,7 +4,12 @@ Three oracles, deliberately decoupled from the solver internals:
 
 * check_hjb evaluates the variational inequalities that certify
   optimality, on a dense surplus grid with a discrete supremum over
-  payment sizes. It consumes only the value-function evaluator.
+  payment sizes. It consumes only the value-function evaluator. With
+  y = x - xi the payment target, sup_xi (xi + V(x - xi)) = x +
+  max_{y <= x} (V(y) - y), and likewise with beta xi, so both suprema are
+  running maxima of V(y) - y and V(y) - beta y over one sorted 1-D set of
+  targets (the surplus grid refined, plus the strategy levels), read at
+  each x: V is evaluated once per target, not once per (x, xi) pair.
 * brute_force_hybrid exhaustively maximises the hybrid objective
   V(a_c) - beta a_c over a barrier lattice, using only the closed-form
   kernel it shares with the solver (so it judges the search, not the
@@ -51,12 +56,28 @@ def _strategy_levels(strategy: Strategy) -> list[float]:
     return [v for v in lv if math.isfinite(v)]
 
 
+def _payment_targets(x: np.ndarray, levels: list[float], density: int) -> np.ndarray:
+    """Sorted, distinct payment targets y = x - xi over the surplus grid x.
+
+    The nodes are 0 and the points of x; each cell between consecutive
+    nodes holds `density` evenly spaced targets, its two ends included (so
+    going from n to 2n - 1, twice the parts per cell, keeps every coarser
+    target); the strategy levels are added exactly.
+    """
+    if not (x >= 0.0).all():
+        raise ValueError("x_grid must be non-negative")
+    nodes = np.unique(np.append(x, 0.0))
+    u = np.linspace(0.0, 1.0, density)[1:-1]
+    fill = nodes[:-1, None] + np.diff(nodes)[:, None] * u
+    return np.unique(np.concatenate([nodes, fill.ravel(), levels]))
+
+
 def check_hjb(
     params: ModelParams,
     roots: Roots,
     strategy: Strategy,
     x_grid: np.ndarray | None = None,
-    xi_grid_density: int = 200,
+    xi_grid_density: int = 6,
     tol: float = 1e-6,
     kink_window: float = 1e-6,
 ) -> HJBReport:
@@ -75,11 +96,22 @@ def check_hjb(
     where the xi = 0 entry contributes 0, so the supremum is >= 0 and any
     strictly positive value is a violation.
 
-    Both residuals are scaled by 1 + |V(x)|. The xi grid is a uniform fill
-    of [0, x] augmented with the exact analytic maximiser candidates
-    x - (strategy level), so no discretisation slack is paid at the
-    maximiser. Points within kink_window of a kink are skipped for
-    condition A (V'' is undefined there).
+    Both suprema are taken over payment targets y = x - xi, by the identities
+
+        sup_A(x) = x - V(x) + max_{y <= x} (V(y) - y),
+        sup_B(x) = beta x - chi - V(x) + max_{y < x} (V(y) - beta y),
+
+    on one sorted set of targets: 0, the x grid itself (so xi = 0 and every
+    x_i - x_j are candidates), each cell between consecutive grid points
+    filled with xi_grid_density evenly spaced targets (both ends counted),
+    and the strategy levels exactly, which are the analytic maximisers, so
+    no discretisation slack is paid there. Both maxima are running maxima
+    over the targets, read at each x. generator_argmax_xi is x minus the
+    largest target attaining the condition A maximum.
+
+    Both residuals are scaled by 1 + |V(x)|. Points within kink_window of a
+    kink are skipped for condition A (V'' is undefined there). x_grid must
+    be non-negative.
     """
     vf = ValueFunction(params, roots, strategy)
     levels = _strategy_levels(strategy)
@@ -88,20 +120,19 @@ def check_hjb(
         x_grid = np.linspace(0.0, 3.0 * top, 2000)
     x = np.asarray(x_grid, dtype=float)
 
-    v = vf(x)
+    y = _payment_targets(x, levels, xi_grid_density)
+    vy = vf(y)
+    ix = np.searchsorted(y, x)  # every x is a target: y[ix] == x
+    v = vy[ix]
     scale = 1.0 + np.abs(v)
 
-    u = np.linspace(0.0, 1.0, xi_grid_density)
-    xi = x[:, None] * u[None, :]
-    cand = [np.clip(x - lev, 0.0, x) for lev in levels]
-    if cand:
-        xi = np.concatenate([xi] + [c[:, None] for c in cand], axis=1)
-    v_after = vf(x[:, None] - xi)
-
-    # condition A
-    improve = xi + v_after - v[:, None]
-    sup_a = improve.max(axis=1)
-    argmax_xi = xi[np.arange(len(x)), improve.argmax(axis=1)]
+    # condition A: running maximum of V(y) - y over y <= x, and the latest
+    # target attaining it (the smallest payment on ties)
+    w = vy - y
+    run = np.maximum.accumulate(w)
+    at = np.maximum.accumulate(np.where(w == run, np.arange(len(y)), 0))
+    sup_a = x - v + run[ix]
+    argmax_xi = x - y[at[ix]]
     d1 = vf.d1(x)
     d2 = vf.d2(x)
     gen = 0.5 * params.sigma**2 * d2 + params.mu * d1 - params.delta * v
@@ -115,9 +146,12 @@ def check_hjb(
     else:
         max_a, worst_a = -math.inf, math.nan
 
-    # condition B
-    pay = np.where(xi > 0.0, params.beta * xi - params.chi, 0.0) + v_after - v[:, None]
-    resid_b = np.maximum(pay.max(axis=1), 0.0) / scale
+    # condition B: running maximum of V(y) - beta y over y < x; at x = 0
+    # only xi = 0 is left, which contributes 0
+    run_b = np.maximum.accumulate(vy - params.beta * y)
+    best_b = np.where(ix > 0, run_b[ix - 1], -np.inf)
+    pay = params.beta * x - params.chi - v + best_b
+    resid_b = np.maximum(pay, 0.0) / scale
     ib = int(np.argmax(resid_b))
     max_b, worst_b = float(resid_b[ib]), float(x[ib])
 
@@ -240,10 +274,11 @@ def audit_derivative_pattern(
     d1 = vf.d1(x)
     violations: list[tuple[float, float, str]] = []
 
+    def flag(bad, label):
+        violations.extend((xv, dv, label) for xv, dv in zip(x[bad].tolist(), d1[bad].tolist()))
+
     def band(mask, lo, hi_, label):
-        for xv, dv in zip(x[mask], d1[mask]):
-            if not (lo - atol < dv < hi_ + atol):
-                violations.append((float(xv), float(dv), label))
+        flag(mask & ~((lo - atol < d1) & (d1 < hi_ + atol)), label)
 
     away = lambda lev: np.abs(x - lev) > h
     if branch == "interior":
@@ -275,8 +310,5 @@ def audit_derivative_pattern(
         "V' in (0, beta) on (a_c, b)",
     )
     if math.isfinite(b):
-        flat = (x > b) & away(b)
-        for xv, dv in zip(x[flat], d1[flat]):
-            if abs(dv - params.beta) > 1e-12:
-                violations.append((float(xv), float(dv), "V' = beta on [b, inf)"))
+        flag((x > b) & away(b) & (np.abs(d1 - params.beta) > 1e-12), "V' = beta on [b, inf)")
     return PatternAudit(passed=not violations, branch=branch, violations=violations)

@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from divopt import (
     Hybrid,
+    Liquidation,
     ModelParams,
+    PeriodicBarrier,
     PeriodicZero,
+    ValueFunction,
     audit_derivative_pattern,
     brute_force_hybrid,
     check_hjb,
     solve,
     solve_roots,
 )
-from divopt.verify import hybrid_objective
+from divopt.verify import _payment_targets, _strategy_levels, hybrid_objective
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,75 @@ class TestCheckHJB:
         fine = check_hjb(pos_params, pos_roots, bad, x_grid=x, xi_grid_density=201)
         assert fine.max_payment_residual >= coarse.max_payment_residual - 1e-15
         assert fine.max_generator_violation >= coarse.max_generator_violation - 1e-15
+
+
+def _brute_force_hjb(p, r, st, x, density, kink_window=1e-6):
+    """Both residuals and the condition A argmax by a 2-D max over payment
+    sizes xi = x - y, y in check_hjb's target set, ordered by increasing xi."""
+    vf = ValueFunction(p, r, st)
+    y = _payment_targets(x, _strategy_levels(st), density)[::-1]
+    xi = x[:, None] - y[None, :]
+    v = vf(x)
+    v_after = vf(x[:, None] - xi)
+    improve = np.where(xi >= 0.0, xi + v_after - v[:, None], -np.inf)
+    gen = 0.5 * p.sigma**2 * vf.d2(x) + p.mu * vf.d1(x) - p.delta * v
+    resid_a = (gen + p.gamma * improve.max(axis=1)) / (1.0 + np.abs(v))
+    away = np.ones_like(x, dtype=bool)
+    for k in vf.kinks:
+        away &= np.abs(x - k) > kink_window
+    pay = np.where(xi > 0.0, p.beta * xi - p.chi + v_after - v[:, None], 0.0)
+    resid_b = np.maximum(pay.max(axis=1), 0.0) / (1.0 + np.abs(v))
+    argmax_xi = xi[np.arange(len(x)), improve.argmax(axis=1)]
+    return resid_a[away].max(), resid_b.max(), argmax_xi
+
+
+@pytest.fixture(scope="module")
+def controls():
+    """The five strategy families at their optimum, and perturbed controls."""
+    pos = ModelParams(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15)
+    neg = ModelParams(mu=-1.0, sigma=0.3, chi=0.15, beta=0.7, gamma=1.0, delta=0.15)
+    periodic = ModelParams(mu=1.0, sigma=0.3, chi=0.01, beta=0.5, gamma=1.0, delta=0.15)
+    waits = ModelParams(mu=-1.0, sigma=0.3, chi=0.9, beta=0.7, gamma=1.0, delta=0.15)
+    half = ModelParams(mu=-1.0, sigma=0.3, chi=0.15, beta=0.95, gamma=1.0, delta=0.15)
+    h, pb = solve(pos).strategy, solve(periodic).strategy
+    liq, liq_half = solve(neg).strategy, solve(half).strategy
+    cases = [
+        ("hybrid", pos, h),
+        ("hybrid b+0.2", pos, Hybrid(h.a_p, h.a_c, h.b + 0.2)),
+        ("hybrid a_p+0.3", pos, Hybrid(h.a_p + 0.3, max(h.a_c, h.a_p + 0.3), h.b)),
+        ("periodic barrier", periodic, pb),
+        ("periodic barrier x1.5", periodic, PeriodicBarrier(1.5 * pb.b)),
+        ("periodic-zero", waits, PeriodicZero()),
+        ("periodic-zero where paying is best", pos, PeriodicZero()),
+        ("finite liquidation", neg, liq),
+        ("finite liquidation b1 x1.2", neg, Liquidation(1.2 * liq.b1, liq.b2)),
+        ("half-line liquidation", half, liq_half),
+        ("half-line liquidation b1 x0.8", half, Liquidation(0.8 * liq_half.b1, math.inf)),
+    ]
+    return {name: (p, st) for name, p, st in cases}
+
+
+@pytest.mark.parametrize("x_lo", [0.0, 0.05])
+def test_running_max_suprema_match_brute_force(controls, x_lo):
+    for name, (p, st) in controls.items():
+        r = solve_roots(p)
+        levels = _strategy_levels(st)
+        top = max(levels) if levels else 1.0 / abs(r.s1) + 1.0 / r.r1
+        x = np.linspace(x_lo, 3.0 * top, 301)
+        rep = check_hjb(p, r, st, x_grid=x, xi_grid_density=6)
+        ref_a, ref_b, ref_xi = _brute_force_hjb(p, r, st, x, density=6)
+        assert abs(rep.max_generator_violation - ref_a) <= 1e-12, name
+        assert abs(rep.max_payment_residual - ref_b) <= 1e-12, name
+        assert np.abs(rep.generator_argmax_xi - ref_xi).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("n", [2, 6, 101])
+def test_doubling_the_parts_per_cell_nests_the_targets(n):
+    x = np.sort(np.random.default_rng(3).uniform(0.1, 4.0, 300))
+    coarse = _payment_targets(x, [0.7, 2.2], n)
+    fine = _payment_targets(x, [0.7, 2.2], 2 * n - 1)
+    assert len(fine) == len(coarse) + (n - 1) * len(x)
+    assert np.isin(coarse, fine).all()
 
 
 class TestBruteForce:
