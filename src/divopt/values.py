@@ -23,6 +23,14 @@ f, g, J and a small set of coefficients:
 
   and both exponential terms are bounded.
 
+  The kernel has two stages. Stage 1 (_hybrid_factors) evaluates the
+  factors of a alone and those of the gaps (l, y) alone. Stage 2 builds
+  what its caller reads: hybrid_kernel gives V' at a, a_c and b- and the
+  coefficients (the solver, ValueFunction); hybrid_value_ac gives V(a_c)
+  (the barrier lattice). V(a_c) is separable: a ratio of two dot products,
+  (P, Q, f(a)) . N(l, y) over (f(a), f'(a)) . D(l, y), plus a term in l,
+  so on a lattice both contract over the a axis as matrix products.
+
 * PeriodicBarrier(b) is Hybrid(b, b, inf): never paying immediately is the
   d -> inf limit of the kernel, where A -> 0 and C tends to a closed form
   independent of d.
@@ -86,66 +94,116 @@ def periodic_zero(params: ModelParams, roots: Roots, x, k: int = 0):
     )
 
 
-def hybrid_kernel(params: ModelParams, roots: Roots):
-    """The hybrid closed form of one parameter set, as a function of (a, l, y).
+def _hybrid_factors(params: ModelParams, roots: Roots, exp):
+    """Stage 1 of the hybrid closed form: factors(a, l, y) -> the factors of a
+    alone, then those of the gaps alone,
 
-    kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
-    returns (vp_a, vp_ac, vp_b, v_ac, C, B, A_hat, den): V' at a, a_c and
-    b-, V(a_c), the coefficients with A_hat = A e^{r1 d} (d = l + y), and
-    the shifted denominator. With E = e^{-r1 d}, g(d,l) = g(d) - g(l) and
-    J(d,l) = J(d) - J(l):
+        f(a), f'(a), P, Q,   alpha y - chi, E, e^{-r1 y}, e^{s1 d}, e^{s1 l},
+                             g(d,l) E, J(d,l) E, C's numerator,
 
-        den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
-        C     = [ (r1-s1)(alpha y - chi) E + pv g(d,l) E
-                  + (g mu/(g+d)^2) J(d,l) E ] / den
-        B     = (delta/(g+d)) C f(a) - pv mu/(g+d)
-        A_hat = [ (alpha y - chi) (f'(a) - s1 (delta/(g+d)) f(a))
-                  + (pv/(g+d)) (mu f'(a) - delta f(a)) (e^{s1 d} - e^{s1 l}) ] / den
+    with d = l + y, E = e^{-r1 d}, k = delta/(g+d) and
 
-    A_hat is the cancellation-free form of (C f'(a) - B s1 - pv) e^{r1 d}
-    / (r1 - s1). Every exponential evaluated is at most 1, so nothing
-    overflows however large r1 d is, and y = inf gives the b = inf limit.
+        P = f'(a) - s1 k f(a),    Q = (pv/(g+d)) (mu f'(a) - delta f(a)).
 
-    Plain floats go through math.exp (a hybrid solve makes thousands of
-    calls), arrays through np.exp with broadcasting. No admissibility
-    checks: the solver probes freely inside its search box.
+    exp is math.exp (floats) or np.exp (arrays, one shape for a and one for
+    the gaps). Every exponential evaluated is at most 1.
     """
     r0, s0, r1, s1 = roots.r0, roots.s0, roots.r1, roots.s1
     alpha, chi, mu, delta = roots.alpha, params.chi, params.mu, params.delta
     gd = params.gamma + delta
     pv = roots.pvfactor
-    k = delta / gd
-    c_gap, c_J, m1, c_curv = r1 - s1, params.gamma * mu / gd**2, mu / gd, pv / gd
-    ndarray = np.ndarray
+    k, c_curv = delta / gd, pv / gd
+    c_gap, c_J = r1 - s1, params.gamma * mu / gd**2
+    scalar, inf = exp is math.exp, math.inf
 
-    def kernel(a, l, y):
-        lin = alpha * y - chi
-        if isinstance(a, ndarray) or isinstance(l, ndarray) or isinstance(y, ndarray):
-            exp = np.exp
-        else:
-            exp = math.exp
-            if y == math.inf:
-                lin = 0.0  # it only meets factors E -> 0 and e^{r1 (u - d)} -> 0
+    def factors(a, l, y):
         er0a, es0a = exp(r0 * a), exp(s0 * a)
         fa, fpa = er0a - es0a, r0 * er0a - s0 * es0a
+        lin = alpha * y - chi
+        if scalar and y == inf:
+            lin = 0.0  # it only meets factors E -> 0 and e^{r1 (u - d)} -> 0
         es1d, es1l = exp(s1 * (l + y)), exp(s1 * l)
         ey = exp(-r1 * y)  # e^{r1 l} E
         E = ey * exp(-r1 * l)
         gdl = 1.0 - es1d * E - ey + es1l * E
         Jdl = -s1 * gdl + c_gap * (es1d - es1l) * E
+        P, Q = fpa - s1 * k * fa, c_curv * (mu * fpa - delta * fa)
+        c_num = c_gap * lin * E + pv * gdl + c_J * Jdl
+        return fa, fpa, P, Q, lin, E, ey, es1d, es1l, gdl, Jdl, c_num
+
+    return factors
+
+
+def hybrid_kernel(params: ModelParams, roots: Roots):
+    """The hybrid closed form of one parameter set, as a function of (a, l, y).
+
+    kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
+    all floats, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den): V' at a, a_c
+    and b-, the coefficients with A_hat = A e^{r1 d} (d = l + y), and the
+    shifted denominator. It is stage 2 over _hybrid_factors' stage 1: with
+    E = e^{-r1 d}, g(d,l) = g(d) - g(l) and J(d,l) = J(d) - J(l),
+
+        den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
+        C     = [ (r1-s1)(alpha y - chi) E + pv g(d,l) E
+                  + (g mu/(g+d)^2) J(d,l) E ] / den
+        B     = (delta/(g+d)) C f(a) - pv mu/(g+d)
+        A_hat = [ (alpha y - chi) P + Q (e^{s1 d} - e^{s1 l}) ] / den
+
+    A_hat is the cancellation-free form of (C f'(a) - B s1 - pv) e^{r1 d}
+    / (r1 - s1). Nothing overflows however large r1 d is, and y = inf gives
+    the b = inf limit. V(a_c), the lattice's objective, is the other stage 2,
+    hybrid_value_ac, which works on arrays.
+
+    The kernel uses math.exp: a hybrid solve makes thousands of calls. No
+    admissibility checks: the solver probes freely inside its search box.
+    """
+    r1, s1 = roots.r1, roots.s1
+    gd = params.gamma + params.delta
+    pv = roots.pvfactor
+    k, pv_m1 = params.delta / gd, pv * (params.mu / gd)
+    factors = _hybrid_factors(params, roots, math.exp)
+
+    def kernel(a, l, y):
+        fa, fpa, P, Q, lin, E, ey, es1d, es1l, gdl, Jdl, c_num = factors(a, l, y)
         den = k * fa * Jdl + fpa * gdl
-        C = (c_gap * lin * E + pv * gdl + c_J * Jdl) / den
-        B = k * C * fa - pv * m1
-        A_hat = (
-            lin * (fpa - s1 * k * fa) + c_curv * (mu * fpa - delta * fa) * (es1d - es1l)
-        ) / den
+        C = c_num / den
+        B = k * C * fa - pv_m1
+        A_hat = (lin * P + Q * (es1d - es1l)) / den
         bt = B - A_hat * E  # B - A
         vp_ac = A_hat * r1 * ey + bt * s1 * es1l + pv
         vp_b = A_hat * r1 + bt * s1 * es1d + pv
-        v_ac = A_hat * (ey - es1l * E) + B * es1l + pv * (l + m1 + C * fa)
-        return C * fpa, vp_ac, vp_b, v_ac, C, B, A_hat, den
+        return C * fpa, vp_ac, vp_b, C, B, A_hat, den
 
     return kernel
+
+
+def hybrid_value_ac(params: ModelParams, roots: Roots, a, l, y):
+    """V(a_c) of Hybrid(a, a + l, a + l + y) in separable form, on arrays.
+
+    Returns (F, N, G, D, h): F and G are tuples of arrays in a alone, N and
+    D tuples of arrays in the gaps alone, h an array in l alone, and
+
+        V(a_c) = (F . N) / (G . D) + h,
+        F = (P, Q, f(a)),   N = ((alpha y - chi) w, (e^{s1 d} - e^{s1 l}) w,
+                                 C's numerator (k e^{s1 l} + pv)),
+        G = (f(a), f'(a)),  D = (k J(d,l) E, g(d,l) E),
+        h = pv (l + (mu/(g+d)) (1 - e^{s1 l})),
+
+    with w = e^{-r1 y} - e^{s1 l} E. This is hybrid_kernel's A_hat w +
+    B e^{s1 l} + pv (l + mu/(g+d) + C f(a)) over its one denominator
+    G . D = den, from the same stage-1 factors. On a lattice a x l x y
+    both dot products contract over the a axis as the matrix products
+    (n_a x 3)(3 x n_l n_y) and (n_a x 2)(2 x n_l n_y).
+    """
+    gd = params.gamma + params.delta
+    pv = roots.pvfactor
+    k = params.delta / gd
+    factors = _hybrid_factors(params, roots, np.exp)
+    fa, fpa, P, Q, lin, E, ey, es1d, es1l, gdl, Jdl, c_num = factors(a, l, y)
+    w = ey - es1l * E
+    N = (lin * w, (es1d - es1l) * w, c_num * (k * es1l + pv))
+    h = pv * (l + params.mu / gd * (1.0 - es1l))
+    return (P, Q, fa), N, (fa, fpa), (k * Jdl, gdl), h
 
 
 def hybrid_coefficients(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import ModelParams, Roots
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy
-from .values import ValueFunction, hybrid_kernel
+from .values import ValueFunction, hybrid_value_ac
 
 
 @dataclass
@@ -42,6 +42,8 @@ class HJBReport:
     passed: bool
     generator_argmax_xi: np.ndarray = field(repr=False)
     x_generator: np.ndarray = field(repr=False)
+    resid_generator: np.ndarray = field(repr=False)  # NaN inside the kink window
+    resid_payment: np.ndarray = field(repr=False)  # best xi > 0; -inf at x = 0
 
 
 def _strategy_levels(strategy: Strategy) -> list[float]:
@@ -109,9 +111,11 @@ def check_hjb(
     over the targets, read at each x. generator_argmax_xi is x minus the
     largest target attaining the condition A maximum.
 
-    Both residuals are scaled by 1 + |V(x)|. Points within kink_window of a
-    kink are skipped for condition A (V'' is undefined there). x_grid must
-    be non-negative.
+    Both residuals are scaled by 1 + |V(x)|. They are also reported per x:
+    resid_generator is condition A's left side, NaN within kink_window of a
+    kink, where it is skipped (V'' is undefined there); resid_payment is
+    the gain of the best payment xi > 0 (-inf at x = 0), whose positive
+    part is condition B's residual. x_grid must be non-negative.
     """
     vf = ValueFunction(params, roots, strategy)
     levels = _strategy_levels(strategy)
@@ -136,10 +140,10 @@ def check_hjb(
     d1 = vf.d1(x)
     d2 = vf.d2(x)
     gen = 0.5 * params.sigma**2 * d2 + params.mu * d1 - params.delta * v
-    resid_a = (gen + params.gamma * sup_a) / scale
     ok_a = np.ones_like(x, dtype=bool)
     for k in vf.kinks:
         ok_a &= np.abs(x - k) > kink_window
+    resid_a = np.where(ok_a, (gen + params.gamma * sup_a) / scale, np.nan)
     if ok_a.any():
         ia = int(np.argmax(np.where(ok_a, resid_a, -np.inf)))
         max_a, worst_a = float(resid_a[ia]), float(x[ia])
@@ -150,10 +154,9 @@ def check_hjb(
     # only xi = 0 is left, which contributes 0
     run_b = np.maximum.accumulate(vy - params.beta * y)
     best_b = np.where(ix > 0, run_b[ix - 1], -np.inf)
-    pay = params.beta * x - params.chi - v + best_b
-    resid_b = np.maximum(pay, 0.0) / scale
-    ib = int(np.argmax(resid_b))
-    max_b, worst_b = float(resid_b[ib]), float(x[ib])
+    gain_b = (params.beta * x - params.chi - v + best_b) / scale
+    ib = int(np.argmax(np.maximum(gain_b, 0.0)))
+    max_b, worst_b = max(float(gain_b[ib]), 0.0), float(x[ib])
 
     return HJBReport(
         n_points=len(x),
@@ -165,6 +168,8 @@ def check_hjb(
         passed=(max_a <= tol) and (max_b <= tol),
         generator_argmax_xi=argmax_xi,
         x_generator=x,
+        resid_generator=resid_a,
+        resid_payment=gain_b,
     )
 
 
@@ -183,11 +188,34 @@ class GridSearchResult:
 
 
 def hybrid_objective(params: ModelParams, roots: Roots, a, l, y):
-    """V(a_c) - beta a_c from the hybrid kernel; broadcasts."""
-    a = np.asarray(a, dtype=float)
-    l = np.asarray(l, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return hybrid_kernel(params, roots)(a, l, y)[3] - params.beta * (a + l)
+    """V(a_c) - beta a_c from the hybrid kernel's separable form; broadcasts."""
+    a, l, y = (np.asarray(v, dtype=float) for v in (a, l, y))
+    F, N, G, D, h = hybrid_value_ac(params, roots, a, l, y)
+    num = sum(u * v for u, v in zip(F, N))
+    return num / sum(u * v for u, v in zip(G, D)) + h - params.beta * (a + l)
+
+
+def _lattice_objective(params: ModelParams, roots: Roots, a, l, y) -> np.ndarray:
+    """hybrid_objective on the lattice of the 1-D axes a, l, y, shape (a, l, y).
+
+    The factors in a live on the a axis and those in the gaps on the (l, y)
+    plane; both dot products contract over the a axis as matrix products,
+    one block of rows of about 16k points at a time, so that the result is
+    the only full-size array (each fresh full-size temporary costs its page
+    faults). Then come one division per block and two broadcast adds.
+    """
+    F, N, G, D, h = hybrid_value_ac(params, roots, a, l[:, None], y)
+    plane = len(l) * len(y)
+    F, N = np.stack(F, axis=1), np.reshape(N, (3, plane))
+    G, D = np.stack(G, axis=1), np.reshape(D, (2, plane))
+    obj = np.empty((len(a), plane))
+    rows = max(1, 2**14 // plane)
+    for i in range(0, len(a), rows):
+        np.divide(F[i : i + rows] @ N, G[i : i + rows] @ D, out=obj[i : i + rows])
+    obj = obj.reshape(len(a), len(l), len(y))
+    obj += h - params.beta * l[:, None]
+    obj -= params.beta * a[:, None, None]
+    return obj
 
 
 def brute_force_hybrid(
@@ -201,7 +229,8 @@ def brute_force_hybrid(
     The lattice covers [0, a_bar] x [0, l_max] x (chi/beta, y_max]; payment
     gaps at or below chi/beta are excluded since they net nothing. bounds
     = (l_max, y_max); defaults are generous multiples of the exponential
-    length scales.
+    length scales. The lattice is evaluated in hybrid_value_ac's separable
+    form, contracted over the a axis (_lattice_objective).
     """
     len_r, len_s = 1.0 / roots.r1, 1.0 / abs(roots.s1)
     if bounds is None:
@@ -215,13 +244,7 @@ def brute_force_hybrid(
     )
     l_grid = np.linspace(0.0, l_max, n_per_axis)
     y_grid = np.linspace(y_lo, y_max, n_per_axis)
-    obj = hybrid_objective(
-        params,
-        roots,
-        a_grid[:, None, None],
-        l_grid[None, :, None],
-        y_grid[None, None, :],
-    )
+    obj = _lattice_objective(params, roots, a_grid, l_grid, y_grid)
     idx = np.unravel_index(np.argmax(obj), obj.shape)
     return GridSearchResult(
         a=float(a_grid[idx[0]]),

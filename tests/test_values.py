@@ -104,13 +104,17 @@ class TestHybridKernel:
         assert obj == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_every_exponential_is_bounded(self, pos_params, pos_roots):
-        # r1 d in the tens of thousands: all outputs stay finite
+        # r1 d in the tens of thousands: all outputs stay finite, from the
+        # kernel (floats) and from the separable V(a_c) (arrays)
         out = hybrid_kernel(pos_params, pos_roots)(0.2, 3.0, 5e4)
         assert all(math.isfinite(v) for v in out)
-        arr = hybrid_kernel(pos_params, pos_roots)(
-            np.array([0.2]), np.array([3.0]), np.array([5e4])
+        arr = hybrid_objective(
+            pos_params, pos_roots, np.array([0.2, 0.0]), np.array([3.0, 0.0]), 5e4
         )
-        assert np.allclose(np.concatenate(arr), out, rtol=1e-12)
+        assert np.isfinite(arr).all()
+        st = Hybrid(0.2, 3.2, 3.2 + 5e4)
+        ref = float(ValueFunction(pos_params, pos_roots, st)(st.a_c)) - pos_params.beta * st.a_c
+        assert arr[0] == pytest.approx(ref, rel=1e-12)
 
     def test_infinite_b_is_the_periodic_limit(self, pos_params, pos_roots):
         # d -> inf: A -> 0 and C tends to the closed form below

@@ -16,7 +16,12 @@ from divopt import (
     solve,
     solve_roots,
 )
-from divopt.verify import _payment_targets, _strategy_levels, hybrid_objective
+from divopt.verify import (
+    _lattice_objective,
+    _payment_targets,
+    _strategy_levels,
+    hybrid_objective,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +70,9 @@ class TestCheckHJB:
         rep = check_hjb(pos_params, pos_roots, solved, xi_grid_density=300)
         x = rep.x_generator
         sel = x > solved.a_p + 0.05
-        cell = x[sel] / 299.0  # uniform xi spacing is x/(density-1)
+        # a_p is one of the payment targets, so the best payment is exact
         gap = np.abs(rep.generator_argmax_xi[sel] - (x[sel] - solved.a_p))
-        assert np.all(gap <= cell + 1e-12)
+        assert np.all(gap <= 1e-12)
 
     def test_refining_xi_grid_never_lowers_suprema(self, pos_params, pos_roots, solved):
         bad = Hybrid(solved.a_p, solved.a_c, solved.b + 0.2)
@@ -79,8 +84,10 @@ class TestCheckHJB:
 
 
 def _brute_force_hjb(p, r, st, x, density, kink_window=1e-6):
-    """Both residuals and the condition A argmax by a 2-D max over payment
-    sizes xi = x - y, y in check_hjb's target set, ordered by increasing xi."""
+    """Condition A's residual (NaN within kink_window of a kink) and the
+    best payment gain of condition B per x, and the condition A argmax, by
+    a 2-D max over payment sizes xi = x - y, y in check_hjb's target set,
+    ordered by increasing xi."""
     vf = ValueFunction(p, r, st)
     y = _payment_targets(x, _strategy_levels(st), density)[::-1]
     xi = x[:, None] - y[None, :]
@@ -92,10 +99,10 @@ def _brute_force_hjb(p, r, st, x, density, kink_window=1e-6):
     away = np.ones_like(x, dtype=bool)
     for k in vf.kinks:
         away &= np.abs(x - k) > kink_window
-    pay = np.where(xi > 0.0, p.beta * xi - p.chi + v_after - v[:, None], 0.0)
-    resid_b = np.maximum(pay.max(axis=1), 0.0) / (1.0 + np.abs(v))
+    pay = np.where(xi > 0.0, p.beta * xi - p.chi + v_after - v[:, None], -np.inf)
+    gain_b = pay.max(axis=1) / (1.0 + np.abs(v))
     argmax_xi = xi[np.arange(len(x)), improve.argmax(axis=1)]
-    return resid_a[away].max(), resid_b.max(), argmax_xi
+    return np.where(away, resid_a, np.nan), gain_b, argmax_xi
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +140,12 @@ def test_running_max_suprema_match_brute_force(controls, x_lo):
         x = np.linspace(x_lo, 3.0 * top, 301)
         rep = check_hjb(p, r, st, x_grid=x, xi_grid_density=6)
         ref_a, ref_b, ref_xi = _brute_force_hjb(p, r, st, x, density=6)
-        assert abs(rep.max_generator_violation - ref_a) <= 1e-12, name
-        assert abs(rep.max_payment_residual - ref_b) <= 1e-12, name
+        assert abs(rep.max_generator_violation - np.nanmax(ref_a)) <= 1e-12, name
+        assert abs(rep.max_payment_residual - max(ref_b.max(), 0.0)) <= 1e-12, name
+        # pointwise, so a defect away from the worst point shows too
+        assert np.array_equal(np.isnan(rep.resid_generator), np.isnan(ref_a)), name
+        assert np.nanmax(np.abs(rep.resid_generator - ref_a)) <= 1e-12, name
+        np.testing.assert_allclose(rep.resid_payment, ref_b, rtol=0, atol=1e-12, err_msg=name)
         assert np.abs(rep.generator_argmax_xi - ref_xi).max() <= 1e-12, name
 
 
@@ -245,11 +256,86 @@ class TestValueDominance:
             assert np.all(vf_star(xs) >= vc(xs) - 1e-6)
 
 
+# a hybrid with b = 140.7: criterion 3's lattice reaches r1 (l + y) beyond
+# 900, where unshifted exponentials overflow
+FAR = ModelParams(0.7153723156949918, 0.2750105483646734, 0.26754445645052516,
+                  0.3719527995230263, 0.46372960630358384, 0.7894698917156511)
+
+
+def _criterion3_bounds(p, r):
+    """Criterion 3's lattice bounds around the solved gaps."""
+    st = solve(p).strategy
+    return 4.0 * (st.a_c - st.a_p) + 2.0 / abs(r.s1), 4.0 * (st.b - st.a_c) + 2.0 / r.r1
+
+
+def _lattice_axes(p, r, bounds, n=40):
+    """The axes brute_force_hybrid lays over [0, a_bar] x [0, l_max] x (chi/beta, y_max]."""
+    l_max, y_max = bounds
+    y_lo = p.chi / p.beta + max(y_max * 1e-6, 1e-12)
+    a = np.linspace(0.0, r.a_bar, n) if r.a_bar > 0 else np.zeros(1)
+    return a, np.linspace(0.0, l_max, n), np.linspace(y_lo, y_max, n)
+
+
+def _criterion3_draw(rng):
+    """Acceptance criterion 3's hybrid distribution."""
+    gamma = rng.uniform(0.3, 2.5)
+    delta = rng.uniform(0.03, 0.4)
+    pv = gamma / (gamma + delta)
+    return ModelParams(mu=rng.uniform(0.02, 2.5), sigma=rng.uniform(0.1, 1.5),
+                       chi=rng.uniform(1e-4, 0.15), beta=rng.uniform(pv + 0.015, 1.0),
+                       gamma=gamma, delta=delta)
+
+
+@pytest.mark.parametrize("case", ["pos", "a_bar_zero", "far"])
+def test_contracted_lattice_matches_scalar_objective(pos_params, case):
+    # 200 seeded lattice points, a tenth of them on the first y node, just
+    # above chi/beta; a_bar = 0 leaves a single-point a axis, and FAR's
+    # lattice reaches r1 d > 700
+    if case == "a_bar_zero":
+        p = ModelParams(mu=-0.3, sigma=0.6, chi=0.05, beta=0.95, gamma=1.0, delta=0.15)
+        r = solve_roots(p)
+        bounds = (2.0, 3.0)
+    else:
+        p = pos_params if case == "pos" else FAR
+        r = solve_roots(p)
+        bounds = _criterion3_bounds(p, r)
+    a, l, y = _lattice_axes(p, r, bounds)
+    lattice = _lattice_objective(p, r, a, l, y)
+    assert lattice.shape == (len(a), 40, 40)
+    assert np.isfinite(lattice).all()
+    if case == "far":
+        assert r.r1 * (l[-1] + y[-1]) > 700.0
+    rng = np.random.default_rng(606)
+    idx = rng.integers(0, lattice.shape, size=(200, 3))
+    idx[:20, 2] = 0
+    scalar = np.array(
+        [float(hybrid_objective(p, r, a[i], l[j], y[k])) for i, j, k in idx]
+    )
+    # relative to each point, with a floor at the lattice's scale for points
+    # near the zero crossing of V(a_c) - beta a_c
+    np.testing.assert_allclose(
+        lattice[tuple(idx.T)], scalar, rtol=1e-12, atol=1e-12 * np.abs(lattice).max()
+    )
+
+
+def test_lattice_search_is_the_pointwise_maximum(pos_params):
+    # the contracted search finds the maximum of the same lattice evaluated
+    # point by point (hybrid_objective broadcast over the 40^3 points)
+    rng = np.random.default_rng(303)
+    for p in [pos_params] + [_criterion3_draw(rng) for _ in range(9)]:
+        r = solve_roots(p)
+        bounds = _criterion3_bounds(p, r)
+        res = brute_force_hybrid(p, r, bounds, n_per_axis=40)
+        a, l, y = _lattice_axes(p, r, bounds)
+        pointwise = hybrid_objective(p, r, a[:, None, None], l[:, None], y)
+        i, j, k = np.unravel_index(np.argmax(pointwise), pointwise.shape)
+        assert (res.a, res.l, res.y) == (a[i], l[j], y[k])
+        assert res.objective == pytest.approx(pointwise[i, j, k], rel=1e-12)
+        assert res.bounds == bounds and res.n_per_axis == 40
+
+
 def test_lattice_evaluates_far_upper_barriers():
-    # a hybrid with b = 140.7: criterion 3's lattice reaches r1 (l + y)
-    # beyond 900, where unshifted exponentials overflow
-    p = ModelParams(0.7153723156949918, 0.2750105483646734, 0.26754445645052516,
-                    0.3719527995230263, 0.46372960630358384, 0.7894698917156511)
+    p = FAR
     r = solve_roots(p)
     st = solve(p).strategy
     l_star, y_star = st.a_c - st.a_p, st.b - st.a_c
