@@ -1,8 +1,10 @@
 """Monte Carlo cross-check of the closed-form value functions.
 
-Simulates the controlled surplus path by path (Euler steps, exact
-decision-time alignment, grid-based ruin and trigger detection) and
-compares the discounted-dividend estimate against the analytic value.
+Simulates the controlled surplus event by event (each step races the
+exit from the strategy's interval against the decision clock and draws
+the outcome from its exact law; no time grid, so ruin and the trigger are
+never missed between steps) and compares the discounted-dividend estimate
+against the analytic value.
 Path counts here are kept small; the acceptance suite runs the full-size
 comparison.
 """

@@ -94,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--x0", type=float, default=None)
     p_sim.add_argument("--paths", type=int, default=None)
-    p_sim.add_argument("--dt", type=float, default=None)
+    p_sim.add_argument("--dt", type=float, default=None,
+                       help="accepted for compatibility; results do not depend on it")
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
 
@@ -221,7 +222,6 @@ def cmd_simulate(merged: dict) -> int:
         ("epv_mean", res.epv_mean),
         ("epv_stderr", res.epv_stderr),
         ("ruin_fraction", res.ruin_fraction),
-        ("mean_ruin_time", res.mean_ruin_time),
         ("n_periodic_dividends", res.n_periodic_dividends),
         ("n_immediate_dividends", res.n_immediate_dividends),
         ("n_paths", res.n_paths),

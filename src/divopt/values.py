@@ -138,9 +138,10 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
     """The hybrid closed form of one parameter set, as a function of (a, l, y).
 
     kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
-    all floats, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den): V' at a, a_c
-    and b-, the coefficients with A_hat = A e^{r1 d} (d = l + y), and the
-    shifted denominator. It is stage 2 over _hybrid_factors' stage 1: with
+    all floats, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den, f(a), P): V'
+    at a, a_c and b-, the coefficients with A_hat = A e^{r1 d} (d = l + y),
+    the shifted denominator, and stage 1's f(a) and P (den's limit as d
+    grows). It is stage 2 over _hybrid_factors' stage 1: with
     E = e^{-r1 d}, g(d,l) = g(d) - g(l) and J(d,l) = J(d) - J(l),
 
         den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
@@ -172,7 +173,7 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
         bt = B - A_hat * E  # B - A
         vp_ac = A_hat * r1 * ey + bt * s1 * es1l + pv
         vp_b = A_hat * r1 + bt * s1 * es1d + pv
-        return C * fpa, vp_ac, vp_b, C, B, A_hat, den
+        return C * fpa, vp_ac, vp_b, C, B, A_hat, den, fa, P
 
     return kernel
 
@@ -220,12 +221,10 @@ def hybrid_coefficients(
         raise ValueError(
             f"need b > a_c + chi/beta = {a_c + params.chi / params.beta}, got b={b}"
         )
-    *_, C, B, A_hat, den = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
-    fa, fpa = float(f(roots, a)), float(f_d1(roots, a))
-    # den tends to f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
+    *_, C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
+    # den tends to P = f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
     # denominator this many orders below that is cancellation noise
-    scale = fpa - roots.s1 * params.delta / (params.gamma + params.delta) * fa
-    if not abs(den) > 1e-12 * scale:
+    if not abs(den) > 1e-12 * P:
         raise DegenerateDenominatorError(
             f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
         )

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, printed pass lines, pinned tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The Monte Carlo criterion
-is the slow one (several minutes); everything else finishes in seconds.
+is the slow one (about a minute); everything else finishes in seconds.
 """
 
 import math
@@ -139,7 +139,10 @@ def test_criterion_4_hjb_verification():
 
 
 def _halving_allowance(params, roots, strategy, x0, trunc, n_paths, seed):
-    """Discretisation allowance from a dt-halving pair at matched horizon."""
+    """Allowance from a dt-halving pair at matched horizon, on two seeds.
+
+    The engine has no time grid, so the pair's gap measures noise only.
+    """
     base = simulate(
         params, roots, strategy,
         SimConfig(x0=x0, dt=1e-3, n_paths=n_paths, seed=seed, truncation_tol=trunc),
@@ -171,11 +174,11 @@ def test_criterion_5_monte_carlo_equivalence():
     ]
     for name, params, roots, strategy, x0s, trunc, seed in runs:
         allowance, gap, se_h = _halving_allowance(
-            params, roots, strategy, x0s[0], max(trunc, 2e-3), 100_000, seed + 50
+            params, roots, strategy, x0s[0], max(trunc, 2e-3), 160_000, seed + 50
         )
         vf = ValueFunction(params, roots, strategy)
         cfg = SimConfig(
-            dt=1e-3, n_paths=200_000, seed=seed, antithetic=True, truncation_tol=trunc
+            dt=1e-3, n_paths=320_000, seed=seed, antithetic=True, truncation_tol=trunc
         )
         results = simulate_at(params, roots, strategy, cfg, x0s)
         for res in results:

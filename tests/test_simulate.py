@@ -84,7 +84,6 @@ class TestSimulate:
         )
         assert res.epv_mean == 0.0
         assert res.ruin_fraction == 1.0
-        assert res.mean_ruin_time == 0.0
 
     def test_no_starting_point_rejected(self, neg_params, neg_roots):
         with pytest.raises(ConfigError):
@@ -94,14 +93,10 @@ class TestSimulate:
         st = solve(pos_params).strategy
         cfg = SimConfig(dt=1e-2, n_paths=400, seed=4, truncation_tol=1e-2)
         rs = simulate_at(pos_params, pos_roots, st, cfg, [0.5, st.b + 1.0])
-        n_max = math.ceil(cfg.resolved_horizon(pos_params.delta) / cfg.dt)
         for r in rs:
-            assert (r.n_steps, r.n_blocks) == (rs[0].n_steps, rs[0].n_blocks)
-            assert 1 <= r.n_blocks <= r.n_steps <= n_max
-            assert r.n_periodic_dividends <= r.n_decision_events
-            # every path lives to the horizon unless it is ruined
-            assert r.path_steps <= r.n_paths * r.n_steps
-            assert r.path_steps >= (1.0 - r.ruin_fraction) * r.n_paths * r.n_steps
+            assert 0 < r.n_periodic_dividends <= r.n_decision_events < r.n_events
+            # every path takes at least one step unless it pays out at time zero
+            assert r.n_events >= r.n_paths
         assert rs == simulate_at(pos_params, pos_roots, st, cfg, [0.5, st.b + 1.0])
 
     def test_deterministic_given_seed(self, neg_params, neg_roots):
@@ -172,23 +167,6 @@ class TestSimulate:
         for r in rs:
             assert abs(r.epv_mean - float(vf(r.x0))) < 5.0 * r.epv_stderr + 5e-3
 
-    def test_bridge_correction_lowers_the_grid_bias(self, neg_params, neg_roots):
-        # grid detection misses intra-step ruin, biasing the estimate up;
-        # the bridge correction removes it. Both runs share their increments,
-        # so their difference is a paired shift far less noisy than either
-        # estimate: at this dt it is 5.6e-4 +- 4.4e-5 over seeds 100-111,
-        # while each estimate's stderr is 4.8e-4
-        vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
-        base = dict(x0=0.3, dt=0.032, n_paths=60_000, seed=17)
-        plain = simulate(neg_params, neg_roots, PeriodicZero(), SimConfig(**base))
-        bridged = simulate(
-            neg_params, neg_roots, PeriodicZero(),
-            SimConfig(bridge_correction=True, **base),
-        )
-        assert plain.epv_mean - bridged.epv_mean > 0.0
-        exact = float(vf(0.3))
-        assert abs(bridged.epv_mean - exact) < 3.0 * bridged.epv_stderr
-
     def test_perturbed_strategy_never_beats_solved(self, pos_params, pos_roots):
         st = solve(pos_params).strategy
         worse = Hybrid(st.a_p + 0.25, st.a_c + 0.25, st.b + 0.25)
@@ -199,89 +177,135 @@ class TestSimulate:
         assert a.epv_mean >= b.epv_mean - margin
 
 
-def test_halving_dt_moves_less_than_stderr_at_baseline(neg_params, neg_roots):
-    # discretisation convergence at the full-liquidation reference point
-    base = dict(x0=0.5, n_paths=100_000, seed=71, truncation_tol=2e-3)
-    a = simulate(neg_params, neg_roots, PeriodicZero(), SimConfig(dt=1e-3, **base))
-    b = simulate(neg_params, neg_roots, PeriodicZero(), SimConfig(dt=5e-4, **base))
-    combined = math.hypot(a.epv_stderr, b.epv_stderr)
-    assert abs(a.epv_mean - b.epv_mean) < combined
+def test_results_do_not_depend_on_dt(pos_params, pos_roots):
+    # the engine has no time grid: one seed gives byte-identical results
+    st = solve(pos_params).strategy
+    x0s = [0.5, st.a_c, st.b + 1.0]
+    base = dict(n_paths=600, seed=71, truncation_tol=1e-3)
+    a = simulate_at(pos_params, pos_roots, st, SimConfig(dt=1e-3, **base), x0s)
+    b = simulate_at(pos_params, pos_roots, st, SimConfig(dt=5e-4, **base), x0s)
+    assert a == b
+    assert [r.epv_mean.hex() for r in a] == [r.epv_mean.hex() for r in b]
 
 
-class TestGridSemantics:
-    """Near-deterministic paths (sigma = 1e-9, and gamma = 1e-9 so that no
-    decision time falls in the horizon) pin down where the engine monitors
-    ruin and the immediate trigger: at grid points t = k dt only."""
-
-    DT = 0.01
+class TestNearDeterministicPaths:
+    """sigma = 1e-9, and gamma = 1e-9 so that no decision time comes in
+    reach, make each path the line x0 + mu t: exits happen at the exact
+    crossing times, payments land on the barrier itself, and a band the
+    line crosses is always entered."""
 
     @staticmethod
-    def _params(mu, chi=0.0, beta=1.0, delta=0.5):
-        return ModelParams(mu=mu, sigma=1e-9, chi=chi, beta=beta, gamma=1e-9, delta=delta)
+    def _run(mu, strategy, x0, chi=0.0, beta=1.0):
+        p = ModelParams(mu=mu, sigma=1e-9, chi=chi, beta=beta, gamma=1e-9, delta=0.5)
+        cfg = SimConfig(x0=x0, n_paths=4, seed=1, horizon=10.0, truncation_tol=0.5)
+        return p, simulate(p, solve_roots(p), strategy, cfg)
 
-    def _run(self, params, strategy, x0, horizon):
-        cfg = SimConfig(x0=x0, dt=self.DT, horizon=horizon, n_paths=4, seed=1,
-                        truncation_tol=0.5)
-        return simulate(params, solve_roots(params), strategy, cfg)
-
-    def test_hybrid_triggers_at_grid_points(self):
-        p = self._params(mu=1.0, chi=0.02, beta=0.9)
-        # X(t) = 1 + t crosses b = 2.005 at t = 1.005; the first grid point
-        # at or above b is t = 1.01 (X = 2.01), after which the reset to
-        # a_c = 1 repeats the same 101-step cycle
-        res = self._run(p, Hybrid(0.5, 1.0, 2.005), x0=1.0, horizon=10.0)
-        times = [1.01 * k for k in range(1, 10)]
-        pay = p.beta * (2.01 - 1.0) - p.chi
+    def test_hybrid_pays_at_each_crossing_of_b(self):
+        # X(t) = 1 + t reaches b = 2.005 at t = 1.005 and pays down to a_c = 1,
+        # once per cycle; the path stops after the first payment made at a
+        # weight below e^{-delta horizon}, the tenth
+        p, res = self._run(1.0, Hybrid(0.5, 1.0, 2.005), x0=1.0, chi=0.02, beta=0.9)
+        times = [1.005 * k for k in range(1, 11)]
         assert res.n_immediate_dividends == 4 * len(times)
-        assert res.n_periodic_dividends == 0
-        assert res.ruin_fraction == 0.0
-        expected = sum(math.exp(-p.delta * t) * pay for t in times)
-        assert res.epv_mean == pytest.approx(expected, rel=1e-5)
+        assert res.n_periodic_dividends == 0 and res.ruin_fraction == 0.0
+        expected = sum(math.exp(-p.delta * t) * (p.beta * 1.005 - p.chi) for t in times)
+        assert res.epv_mean == pytest.approx(expected, rel=1e-9)
 
-    def test_periodic_zero_ruins_at_first_grid_point_below_zero(self):
-        p = self._params(mu=-1.0)
-        # X(t) = 0.505 - t is 0.005 at t = 0.50 and -0.005 at t = 0.51
-        res = self._run(p, PeriodicZero(), x0=0.505, horizon=5.0)
-        assert res.ruin_fraction == 1.0
-        assert res.mean_ruin_time == pytest.approx(0.51)
-        assert res.epv_mean == 0.0
+    def test_periodic_zero_is_ruined_at_zero(self):
+        _, res = self._run(-1.0, PeriodicZero(), x0=0.505)
+        assert res.ruin_fraction == 1.0 and res.epv_mean == 0.0
+        assert res.n_decision_events == 0
 
-    def test_liquidation_pays_at_first_grid_point_inside_the_band(self):
-        p = self._params(mu=-1.0, chi=0.01, beta=0.8)
-        # X(t) = 1.005 - t visits the grid values ..., 0.495, 0.485, 0.475
-        res = self._run(p, Liquidation(0.48, 0.49), x0=1.005, horizon=5.0)
-        assert res.n_immediate_dividends == 4
-        assert res.mean_ruin_time == pytest.approx(0.52)
-        expected = math.exp(-p.delta * 0.52) * (p.beta * 0.485 - p.chi)
-        assert res.epv_mean == pytest.approx(expected, rel=1e-5)
-
-    def test_liquidation_band_between_grid_points_is_never_entered(self):
-        # the path's range covers (0.487, 0.493), but no grid value lies in
-        # it, so nothing is paid and the path ruins at t = 1.01
-        p = self._params(mu=-1.0, chi=0.01, beta=0.8)
-        res = self._run(p, Liquidation(0.487, 0.493), x0=1.005, horizon=5.0)
-        assert res.n_immediate_dividends == 0
-        assert res.epv_mean == 0.0
-        assert res.ruin_fraction == 1.0
-        assert res.mean_ruin_time == pytest.approx(1.01)
+    def test_liquidation_band_is_entered_at_its_upper_end(self):
+        # X(t) = 1.005 - t meets the narrow band (0.487, 0.493) at t = 0.512
+        p, res = self._run(-1.0, Liquidation(0.487, 0.493), x0=1.005, chi=0.01, beta=0.8)
+        assert res.n_immediate_dividends == 4 and res.ruin_fraction == 1.0
+        expected = math.exp(-p.delta * 0.512) * (p.beta * 0.493 - p.chi)
+        assert res.epv_mean == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("family", ["hybrid", "liquidation"])
-def test_block_size_leaves_the_estimate(family, pos_params, pos_roots,
-                                        neg_params, neg_roots, monkeypatch):
-    # one step per block against the longest blocks: the same estimator,
-    # each reproducible for its seed (the draws differ once columns whose
-    # paths have all finished are dropped at different times)
-    params, roots = (pos_params, pos_roots) if family == "hybrid" else (neg_params, neg_roots)
-    st = solve(params).strategy
-    x0s = [0.5, st.b + 0.5] if family == "hybrid" else [0.15, st.b2 + 0.5]
-    cfg = SimConfig(dt=2e-2, n_paths=1000, seed=8, truncation_tol=1e-2)
-    engine = importlib.import_module("divopt.simulate")
-    runs = {}
-    for steps in (1, 4096):
-        monkeypatch.setattr(engine, "_block_steps", lambda n_cols, k=steps: k)
-        runs[steps] = simulate_at(params, roots, st, cfg, x0s)
-        assert runs[steps] == simulate_at(params, roots, st, cfg, x0s)
-    assert runs[1][0].n_blocks == runs[1][0].n_steps
-    for a, b in zip(runs[1], runs[4096]):
-        assert abs(a.epv_mean - b.epv_mean) < 4.0 * math.hypot(a.epv_stderr, b.epv_stderr)
+def _gauss_legendre(fn, a, b, pieces=64, order=32):
+    """Composite Gauss-Legendre quadrature of fn over [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, pieces + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    pts = mid[:, None] + half[:, None] * nodes
+    return float(np.sum(half[:, None] * weights * fn(pts)))
+
+
+LAW_CASES = [
+    # (params, interval lengths)
+    (ModelParams(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15), (1.329, 0.05)),
+    (ModelParams(mu=-1.0, sigma=0.3, chi=0.15, beta=0.7, gamma=1.0, delta=0.15), (0.316, 3.0)),
+    (ModelParams(mu=0.3, sigma=1.7, chi=0.1, beta=0.5, gamma=0.2, delta=0.8), (0.7, 12.0)),
+]
+
+
+class TestExitLaws:
+    """The exit laws the engine samples from, checked against their
+    definitions: lam int G = 1 - up - down, the L -> inf limits, and weight
+    factors (the law at gamma + delta over the law at gamma) in (0, 1]."""
+
+    @staticmethod
+    def _laws(params):
+        engine = importlib.import_module("divopt.simulate")
+        return engine._Law(params, params.gamma), engine._Law(params, params.gamma + params.delta)
+
+    @pytest.mark.parametrize("params, lengths", LAW_CASES)
+    def test_green_mass_identity(self, params, lengths):
+        for rate, law in zip((params.gamma, params.gamma + params.delta), self._laws(params)):
+            for L in lengths:
+                for x in np.linspace(0.0, L, 7)[1:-1]:
+                    up, down = law.exits(np.array([x]), np.array([L]))
+                    below = _gauss_legendre(lambda y: law.green(x, y, L), 0.0, x)
+                    above = _gauss_legendre(lambda y: law.green(x, y, L), x, L)
+                    assert abs(rate * (below + above) - (1.0 - up[0] - down[0])) < 1e-12
+
+    @pytest.mark.parametrize("params, lengths", LAW_CASES)
+    def test_exit_masses_at_most_one(self, params, lengths):
+        for law in self._laws(params):
+            for L in lengths + (np.inf,):
+                x = np.linspace(0.0, min(L, 20.0), 401)
+                up, down = law.exits(x, np.full_like(x, L))
+                assert np.all((up >= 0.0) & (down >= 0.0) & (up + down <= 1.0))
+                assert down[0] == 1.0 and up[0] == 0.0
+                if L < np.inf:
+                    assert up[-1] == 1.0 and down[-1] == 0.0
+
+    @pytest.mark.parametrize("params, lengths", LAW_CASES)
+    def test_infinite_interval_limits(self, params, lengths):
+        for law in self._laws(params):
+            x = np.linspace(0.0, 2.0, 41)
+            gaps = []
+            for L in (2.5, 5.0, 10.0, 40.0, 1e3, np.inf):
+                up, down = law.exits(x, np.full_like(x, L))
+                gaps.append(max(np.max(up), np.max(np.abs(down - np.exp(law.s * x)))))
+            assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
+            assert gaps[-2] < 1e-12 and gaps[-1] == 0.0
+
+    @pytest.mark.parametrize("params, lengths", LAW_CASES)
+    def test_weight_factors_in_unit_interval(self, params, lengths):
+        law, law_d = self._laws(params)
+        for L in lengths + (np.inf,):
+            x = np.linspace(0.0, min(L, 20.0), 81)[1:-1]
+            Ls = np.full_like(x, L)
+            (up, down), (up_d, down_d) = law.exits(x, Ls), law_d.exits(x, Ls)
+            factors = [down_d / down] + ([up_d / up] if L < np.inf else [])
+            for y in x:
+                factors.append(law_d.green(x, y, Ls) / law.green(x, y, Ls))
+            f = np.concatenate(factors)
+            assert np.all((f > 0.0) & (f <= 1.0))
+
+    def test_far_upper_barrier_gives_finite_results(self, neg_params, neg_roots):
+        # negative drift makes r large: r b > 700, where e^{r b} overflows
+        st = Hybrid(0.5, 1.0, 40.0)
+        law, _ = self._laws(neg_params)
+        assert law.r * st.b > 700.0
+        up, down = law.exits(np.array([0.1, 20.0, 39.99]), np.full(3, st.b))
+        assert np.all(np.isfinite(up) & np.isfinite(down))
+        cfg = SimConfig(n_paths=2000, seed=3, truncation_tol=1e-3)
+        x0s = [0.5, 20.0, 39.9, 45.0]
+        vf = ValueFunction(neg_params, neg_roots, st)
+        for r in simulate_at(neg_params, neg_roots, st, cfg, x0s):
+            assert math.isfinite(r.epv_mean) and math.isfinite(r.epv_stderr)
+            assert abs(r.epv_mean - float(vf(r.x0))) < 4.0 * r.epv_stderr + 1e-3
