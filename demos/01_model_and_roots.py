@@ -1,14 +1,14 @@
-"""Model parameters, quadratic roots and the scale-function building blocks.
+"""Model parameters, quadratic roots and the scale function f.
 
 The whole toolkit reduces to two root pairs of
 sigma^2/2 theta^2 + mu theta = q (at q = delta and q = gamma + delta) and
-three exponential combinations f, g, J built from them. This script walks
-through those objects and the monetary-rescaling identity.
+exponential combinations of them, such as f(x) = e^{r0 x} - e^{s0 x}. This
+script walks through those objects and the monetary-rescaling identity.
 """
 
 import numpy as np
 
-from divopt import J, ModelParams, f, f_d2, g, laplace_exponent, solve, solve_roots
+from divopt import ModelParams, f, laplace_exponent, solve, solve_roots
 
 params = ModelParams(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15)
 roots = solve_roots(params)
@@ -22,12 +22,12 @@ print(f"roots of psi = gamma+delta:  r1 = {roots.r1:.6f},  s1 = {roots.s1:.6f}")
 for root, level in ((roots.r0, params.delta), (roots.s1, params.gamma + params.delta)):
     print(f"  check: psi({root:+.4f}) - level = {laplace_exponent(params, root) - level:.2e}")
 
-print(f"\na_bar (zero of f'') = {roots.a_bar:.6f}; f''(a_bar) = {float(f_d2(roots, roots.a_bar)):.2e}")
+print(f"\na_bar (zero of f'') = {roots.a_bar:.6f}; f''(a_bar) = {f(roots, roots.a_bar, 2):.2e}")
 
 xs = np.array([0.0, 0.25, 0.5, 1.0])
-print("\n  x      f(x)       g(x)       J(x)")
-for x, fv, gv, jv in zip(xs, f(roots, xs), g(roots, xs), J(roots, xs)):
-    print(f"{x:5.2f} {fv:10.5f} {gv:10.5f} {jv:10.5f}")
+print("\n  x      f(x)      f'(x)     f''(x)")
+for x, *fk in zip(xs, *(f(roots, xs, k) for k in (0, 1, 2))):
+    print(f"{x:5.2f} " + " ".join(f"{v:10.5f}" for v in fk))
 
 # changing the monetary unit by k scales every optimal barrier by k
 k = 5.0

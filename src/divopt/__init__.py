@@ -8,34 +8,17 @@ functions, and cross-checks everything against grid, variational-
 inequality and Monte Carlo oracles.
 """
 
-from .core import (
-    EXP_ARG_LIMIT,
-    J,
-    J_d1,
-    ModelParams,
-    Roots,
-    exp_guarded,
-    f,
-    f_d1,
-    f_d2,
-    g,
-    g_d1,
-    g_d2,
-    laplace_exponent,
-    solve_roots,
-)
+from .core import ModelParams, Roots, f, laplace_exponent, solve_roots
 from .errors import (
     ConfigError,
     DegenerateDenominatorError,
     DivoptError,
     NoBracketError,
     OutOfRangeError,
-    OverflowGuardError,
 )
-from .simulate import Dividend, SimConfig, SimResult, policy_step, simulate, simulate_at
+from .simulate import SimConfig, SimResult, simulate, simulate_at
 from .solver import (
     Q,
-    Q_inv,
     Regime,
     SolveReport,
     SufficientConditionHints,
@@ -52,12 +35,7 @@ from .solver import (
     sufficient_condition_hints,
 )
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
-from .values import (
-    HybridCoefficients,
-    ValueFunction,
-    hybrid_coefficients,
-    liquidation_A,
-)
+from .values import ValueFunction, liquidation_A
 from .verify import (
     GridSearchResult,
     HJBReport,
@@ -70,27 +48,20 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXP_ARG_LIMIT",
     "ConfigError",
     "DegenerateDenominatorError",
-    "Dividend",
     "DivoptError",
     "GridSearchResult",
     "HJBReport",
     "Hybrid",
-    "HybridCoefficients",
-    "J",
-    "J_d1",
     "Liquidation",
     "ModelParams",
     "NoBracketError",
     "OutOfRangeError",
-    "OverflowGuardError",
     "PatternAudit",
     "PeriodicBarrier",
     "PeriodicZero",
     "Q",
-    "Q_inv",
     "Regime",
     "Roots",
     "SimConfig",
@@ -107,19 +78,11 @@ __all__ = [
     "check_hjb",
     "classify_regime",
     "cost_ratio_limit",
-    "exp_guarded",
     "f",
-    "f_d1",
-    "f_d2",
-    "g",
-    "g_d1",
-    "g_d2",
-    "hybrid_coefficients",
     "laplace_exponent",
     "liquidation_A",
     "nu_riskiness",
     "periodic_b0",
-    "policy_step",
     "simulate",
     "simulate_at",
     "solve",

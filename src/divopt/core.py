@@ -1,20 +1,15 @@
-"""Model parameters, quadratic roots and the elementary functions f, g, J.
+"""Model parameters, quadratic roots and the scale function f.
 
 Everything downstream (value functions, barrier equations, verification)
 is assembled from the two root pairs of the quadratic
 
     psi(theta) = sigma^2/2 * theta^2 + mu * theta
 
-evaluated at the levels delta and gamma + delta, and from the exponential
-combinations
-
-    f(x) = exp(r0 x) - exp(s0 x)
-    g(x) = exp(r1 x) - exp(s1 x)
-    J(x) = -s1 g(x) + (r1 - s1) (exp(s1 x) - 1),   J'(x) = -r1 s1 g(x).
-
-f and g are proportional to the scale functions of the surplus diffusion
-at discount levels delta and gamma + delta; J is a positive multiple of
-the integrated scale function at gamma + delta.
+evaluated at the levels delta and gamma + delta. f(x) = exp(r0 x) -
+exp(s0 x) is proportional to the scale function of the surplus diffusion
+at discount level delta; its counterpart g at gamma + delta, and the
+integrated J, appear only inside values.hybrid_kernel, which evaluates
+them in exponent-shifted form.
 """
 
 from __future__ import annotations
@@ -23,26 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .errors import OverflowGuardError
-
-# Arguments above this limit are refused by exp_guarded. Slightly below
-# log(DBL_MAX) ~ 709.78 so that small downstream products stay finite.
-EXP_ARG_LIMIT = 700.0
-
-
-def exp_guarded(x):
-    """exp(x) for scalars or arrays, refusing arguments beyond the guard.
-
-    Raises OverflowGuardError instead of returning inf, so f, g and J never
-    propagate garbage.
-    """
-    arr = np.asarray(x, dtype=float)
-    mx = arr.max() if arr.size else 0.0
-    if mx > EXP_ARG_LIMIT:
-        raise OverflowGuardError(float(mx), EXP_ARG_LIMIT)
-    out = np.exp(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -157,47 +132,10 @@ def solve_roots(params: ModelParams) -> Roots:
     )
 
 
-def f(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return exp_guarded(roots.r0 * x) - exp_guarded(roots.s0 * x)
+def f(roots: Roots, x, k: int = 0):
+    """k-th derivative (k = 0, 1, 2) of f(x) = exp(r0 x) - exp(s0 x).
 
-
-def f_d1(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return roots.r0 * exp_guarded(roots.r0 * x) - roots.s0 * exp_guarded(roots.s0 * x)
-
-
-def f_d2(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return roots.r0**2 * exp_guarded(roots.r0 * x) - roots.s0**2 * exp_guarded(
-        roots.s0 * x
-    )
-
-
-def g(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return exp_guarded(roots.r1 * x) - exp_guarded(roots.s1 * x)
-
-
-def g_d1(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return roots.r1 * exp_guarded(roots.r1 * x) - roots.s1 * exp_guarded(roots.s1 * x)
-
-
-def g_d2(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return roots.r1**2 * exp_guarded(roots.r1 * x) - roots.s1**2 * exp_guarded(
-        roots.s1 * x
-    )
-
-
-def J(roots: Roots, x):
-    x = np.asarray(x, dtype=float)
-    return -roots.s1 * g(roots, x) + (roots.r1 - roots.s1) * (
-        exp_guarded(roots.s1 * x) - 1.0
-    )
-
-
-def J_d1(roots: Roots, x):
-    """Analytic J'; never computed by differencing."""
-    return -roots.r1 * roots.s1 * g(roots, x)
+    Plain floats go through math.exp, arrays through np.exp.
+    """
+    exp = np.exp if isinstance(x, np.ndarray) else math.exp
+    return roots.r0**k * exp(roots.r0 * x) - roots.s0**k * exp(roots.s0 * x)

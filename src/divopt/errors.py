@@ -1,22 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each a DivoptError.
+
+OutOfRangeError covers arguments outside a function's domain, among them
+a lower barrier a so far out that f(a) leaves the floating-point range.
+Otherwise the hybrid closed form evaluates only exponentials at most 1,
+so no overflow guard is needed.
+"""
 
 
 class DivoptError(Exception):
     """Base class for package-specific errors."""
-
-
-class OverflowGuardError(DivoptError):
-    """An exponential was asked for an argument beyond the guard limit.
-
-    Raised by core.exp_guarded instead of silently returning inf. The value
-    functions and the solver evaluate their closed forms in exponent-shifted
-    form, whose exponentials never exceed 1, so they do not raise it.
-    """
-
-    def __init__(self, arg: float, limit: float):
-        self.arg = float(arg)
-        self.limit = float(limit)
-        super().__init__(f"exp argument {arg:.6g} exceeds guard limit {limit:.6g}")
 
 
 class DegenerateDenominatorError(DivoptError):

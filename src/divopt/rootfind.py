@@ -8,7 +8,6 @@ inside the current bracket, otherwise the step falls back to bisection.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from .errors import NoBracketError
@@ -16,6 +15,9 @@ from .errors import NoBracketError
 # bracket width, relative to 1 + |x|, at which a root search stops; where
 # V' is steep, 1e-12 left smooth-fit residuals above the solver's 1e-10 gate
 ABS_TOL_X = 1e-14
+MAX_ITER = 200  # bisect_secant's rounds; each at least halves the bracket
+GROWTH = 1.7  # bracket_geometric's expansion factor per step
+MAX_GROWTH_STEPS = 400  # 1.7^400 ~ 1e92 times x0
 
 
 def bisect_secant(
@@ -24,8 +26,6 @@ def bisect_secant(
     hi: float,
     flo: float | None = None,
     fhi: float | None = None,
-    xtol: float = ABS_TOL_X,
-    maxiter: int = 200,
 ) -> float:
     """Root of fn on [lo, hi]; fn(lo) and fn(hi) must differ in sign."""
     flo = fn(lo) if flo is None else flo
@@ -36,9 +36,9 @@ def bisect_secant(
         return hi
     if flo * fhi > 0.0:
         raise NoBracketError(f"no sign change on [{lo}, {hi}]: f={flo:.3g}, {fhi:.3g}")
-    for _ in range(maxiter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol * (1.0 + abs(mid)):
+        if hi - lo <= ABS_TOL_X * (1.0 + abs(mid)):
             break
         # secant candidate from the bracket endpoints
         x = mid
@@ -67,15 +67,11 @@ def bisect_secant(
 
 
 def bracket_geometric(
-    fn: Callable[[float], float],
-    x0: float,
-    factor: float = 1.6,
-    x_max: float = math.inf,
-    maxiter: int = 400,
+    fn: Callable[[float], float], x0: float
 ) -> tuple[float, float, float, float]:
-    """Expand [x0, x0*factor^k] geometrically until fn changes sign.
+    """Expand [x0, x0 GROWTH^k] geometrically until fn changes sign.
 
-    Returns (lo, hi, flo, fhi). Raises NoBracketError once x_max is passed.
+    Returns (lo, hi, flo, fhi). Raises NoBracketError after MAX_GROWTH_STEPS.
     """
     if x0 <= 0.0:
         raise ValueError("x0 must be positive for geometric expansion")
@@ -83,15 +79,13 @@ def bracket_geometric(
     if flo == 0.0:
         return lo, lo, flo, flo
     x = x0
-    for _ in range(maxiter):
-        x = min(x * factor, x_max)
+    for _ in range(MAX_GROWTH_STEPS):
+        x *= GROWTH
         fx = fn(x)
         if flo * fx <= 0.0:
             return lo, x, flo, fx
         lo, flo = x, fx
-        if x >= x_max:
-            break
-    raise NoBracketError(f"no sign change up to x_max={x_max:.6g} from x0={x0:.6g}")
+    raise NoBracketError(f"no sign change up to {x:.6g} from x0={x0:.6g}")
 
 
 def smallest_root_scan(
@@ -99,7 +93,6 @@ def smallest_root_scan(
     lo: float,
     hi: float,
     step: float,
-    xtol: float = ABS_TOL_X,
 ) -> float:
     """Leftmost root of fn in (lo, hi]: scan left to right, then refine.
 
@@ -114,6 +107,6 @@ def smallest_root_scan(
         x2 = min(x + step, hi)
         f2 = fn(x2)
         if fx * f2 <= 0.0:
-            return bisect_secant(fn, x, x2, fx, f2, xtol=xtol)
+            return bisect_secant(fn, x, x2, fx, f2)
         x, fx = x2, f2
     raise NoBracketError(f"no sign change scanning [{lo:.6g}, {hi:.6g}] step {step:.3g}")

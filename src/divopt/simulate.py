@@ -49,15 +49,9 @@ import numpy as np
 
 from .core import ModelParams, Roots, _root_pair
 from .errors import ConfigError
-from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy
+from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy, nets_positive
 
 _PART = 1 << 14  # paths advanced together, which bounds the per-step arrays
-
-
-@dataclass(frozen=True)
-class Dividend:
-    amount: float
-    kind: str  # 'periodic' | 'immediate'
 
 
 class _Rules:
@@ -99,20 +93,6 @@ class _Rules:
         return np.where(above, self.band[1], 0.0), np.where(above, math.inf, self.band[0])
 
 
-def policy_step(strategy: Strategy, x: float, is_decision_time: bool) -> Dividend:
-    """Stationary Markov payment map: amount paid at surplus x, by the
-    periodic rule at decision times (no transaction cost) and the immediate
-    rule between them. A zero amount is no payment and attracts no cost."""
-    if x < 0.0:
-        raise ValueError(f"surplus must be >= 0, got {x}")
-    rules = _Rules(strategy)
-    xs = np.array([float(x)])
-    if is_decision_time:
-        return Dividend(float(rules.periodic(xs)[0][0]), "periodic")
-    amount = rules.immediate(xs)[0][0] if rules.triggered(xs)[0] else 0.0
-    return Dividend(float(amount), "immediate")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Sampling choices for one simulation run.
@@ -141,8 +121,8 @@ class SimConfig:
             raise ConfigError("antithetic sampling needs an even n_paths")
         if not 0.0 < self.truncation_tol < 1.0:
             raise ConfigError("truncation_tol must be in (0, 1)")
-        if self.horizon is not None and self.horizon <= 0.0:
-            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
+        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ConfigError(f"horizon must be finite and > 0, got {self.horizon}")
 
     def resolved_horizon(self, delta: float) -> float:
         if self.horizon is None:
@@ -220,13 +200,20 @@ def simulate(params: ModelParams, roots: Roots, strategy: Strategy,
 
 def simulate_at(params: ModelParams, roots: Roots, strategy: Strategy, config: SimConfig,
                 x0s) -> list[SimResult]:
-    """Simulate several starting points under common random numbers."""
+    """Simulate several starting points under common random numbers.
+
+    A hybrid whose immediate payments net nothing (strategies.nets_positive)
+    is refused with ConfigError before any path is drawn: its paths would
+    make of the order of 1/(b - a_c) payments for no gain.
+    """
     x0s = [float(v) for v in x0s]
     if not x0s:
         raise ConfigError("simulate_at needs at least one starting point")
     for v in x0s:
         if not math.isfinite(v) or v < 0.0:
             raise ConfigError(f"x0 must be finite and >= 0, got {v}")
+    if not nets_positive(strategy, params.chi, params.beta):
+        raise ConfigError(f"{strategy} pays immediately at a gap b - a_c <= chi/beta")
     S = 2 if config.antithetic else 1
     nb, n_cols = len(x0s), config.n_paths // S
     eps = math.exp(-params.delta * config.resolved_horizon(params.delta))

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ModelParams, Roots, f, f_d1, solve_roots
+from .core import ModelParams, Roots, f, solve_roots
 from .errors import DivoptError, NoBracketError, OutOfRangeError
 from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
@@ -69,18 +69,7 @@ def Q(params: ModelParams, roots: Roots, a: float) -> float:
     """
     if params.mu <= 0.0:
         raise OutOfRangeError("Q requires mu > 0")
-    return 1.0 - (float(f(roots, a)) / float(f_d1(roots, a))) * (
-        params.delta / params.mu
-    )
-
-
-def Q_inv(params: ModelParams, roots: Roots, q: float) -> float:
-    """Inverse of Q on [0, a_bar] by bisection."""
-    if not 0.0 <= q <= 1.0:
-        raise OutOfRangeError(f"q must be in [0, 1], got {q}")
-    if roots.a_bar == 0.0:
-        return 0.0
-    return bisect_secant(lambda a: Q(params, roots, a) - q, 0.0, roots.a_bar)
+    return 1.0 - (f(roots, a) / f(roots, a, 1)) * (params.delta / params.mu)
 
 
 def a_beta(params: ModelParams, roots: Roots, beta_prime: float | None = None) -> float:
@@ -238,35 +227,23 @@ def classify_regime(params: ModelParams, roots: Roots) -> Regime:
 def periodic_b0(params: ModelParams, roots: Roots) -> float:
     """Optimal pure-periodic barrier.
 
-    Zero when (-s1/r1) pv <= 1; otherwise the unique level where Q hits the
-    target q* = s1 (delta/(gamma+delta)) / (r1 + s1).
+    Zero when (-s1/r1) pv <= 1; otherwise the unique level in [0, a_bar]
+    where Q hits the target q* = s1 (delta/(gamma+delta)) / (r1 + s1).
     """
     pv = roots.pvfactor
     if (-roots.s1 / roots.r1) * pv <= 1.0:
         return 0.0
     gd = params.gamma + params.delta
     q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
-    return Q_inv(params, roots, q_star)
+    return bisect_secant(lambda a: Q(params, roots, a) - q_star, 0.0, roots.a_bar)
 
 
 # ---------------------------------------------------------------------------
 # hybrid solve
 
 
-def solve_hybrid(
-    params: ModelParams,
-    roots: Roots,
-    tol: float = 1e-10,
-    *,
-    l_step0: float | None = None,
-    y_seed: float | None = None,
-) -> SolveReport:
-    """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta).
-
-    l_step0 and y_seed only perturb where the bracket searches start; the
-    solved barriers do not depend on them (the system has a unique
-    solution), which the tests exercise directly.
-    """
+def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> SolveReport:
+    """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta)."""
     if params.beta <= roots.pvfactor:
         raise OutOfRangeError("hybrid solve requires beta > gamma/(gamma+delta)")
     beta = params.beta
@@ -280,8 +257,7 @@ def solve_hybrid(
     def y_root(a: float, l: float) -> float:
         # unique y with V'(b-) = beta at this (a, l)
         fn = lambda y: vp_b(a, l, y) - beta
-        y0 = y_seed if y_seed is not None else 1e-6 * len_r
-        lo, hi, flo, fhi = bracket_geometric(fn, y0, factor=1.7)
+        lo, hi, flo, fhi = bracket_geometric(fn, 1e-6 * len_r)
         return bisect_secant(fn, lo, hi, flo, fhi)
 
     def a_of_y(l: float, y: float) -> float:
@@ -341,9 +317,8 @@ def solve_hybrid(
     if gap0 <= 0.0:
         a, l, y = a0, 0.0, y0
     else:
-        step = l_step0 if l_step0 is not None else 0.25 * len_s
         l_prev, gap_prev = 0.0, gap0
-        l_cur = step
+        l_cur = 0.25 * len_s
         for _ in range(200):
             gap_cur, _, _ = middle_gap(l_cur)
             if gap_prev * gap_cur <= 0.0:

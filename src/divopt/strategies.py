@@ -38,8 +38,8 @@ class Hybrid:
             raise ValueError(f"need 0 <= a_p <= a_c, got ({self.a_p}, {self.a_c})")
         if not self.b > self.a_c:
             raise ValueError(f"need b > a_c, got b={self.b}, a_c={self.a_c}")
-        # The cost-dependent part of admissibility, b > a_c + chi/beta, is
-        # enforced where model parameters are available (hybrid_coefficients).
+        # The cost-dependent part of admissibility is nets_positive, checked
+        # where model parameters are available.
 
 
 @dataclass(frozen=True)
@@ -60,3 +60,13 @@ class PeriodicZero:
 
 
 Strategy = Union[PeriodicBarrier, Hybrid, Liquidation, PeriodicZero]
+
+
+def nets_positive(strategy: Strategy, chi: float, beta: float) -> bool:
+    """Whether the strategy's immediate payments net strictly more than 0.
+
+    A hybrid pays b - a_c, keeps beta of it and pays chi, so it needs
+    b > a_c + chi/beta: a smaller gap nets nothing, while a simulated path
+    makes of the order of 1/(b - a_c) payments. The other families pass.
+    """
+    return not isinstance(strategy, Hybrid) or strategy.b > strategy.a_c + chi / beta

@@ -1,7 +1,8 @@
 """Closed-form value functions V(x; strategy) and their derivatives.
 
 Each strategy family has an explicit piecewise representation built from
-f, g, J and a small set of coefficients:
+the scale function f (core.f), its counterpart g(x) = e^{r1 x} - e^{s1 x}
+at discount level gamma + delta, and a small set of coefficients:
 
 * Hybrid (a, a_c, b), with l = a_c - a, d = b - a, y = b - a_c:
 
@@ -12,7 +13,8 @@ f, g, J and a small set of coefficients:
            beta (x - a_c) - chi + V(a_c)                x >= b
 
   C, B, A are the unique constants making V continuous at a and b and C^1
-  at a. One kernel, hybrid_kernel, computes them in exponent-shifted form:
+  at a. One kernel, hybrid_kernel, computes them in exponent-shifted form
+  (with g and J(x) = -s1 g(x) + (r1 - s1)(e^{s1 x} - 1) written out):
   e^{r1 d} is factored out of the numerator and denominator of C, and A is
   carried as A_hat = A e^{r1 d}, so every exponential it evaluates is at
   most 1. This is the usual treatment of scale functions, whose scaled form
@@ -54,23 +56,16 @@ smooth-fit conditions are stated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
-from .core import ModelParams, Roots, f, f_d1, f_d2
-from .errors import DegenerateDenominatorError
-from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
+from .core import ModelParams, Roots, f
+from .errors import DegenerateDenominatorError, OutOfRangeError
+from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy, nets_positive
 
-
-@dataclass(frozen=True)
-class HybridCoefficients:
-    """Constants C, B and A_hat = A e^{r1 (b - a)} of the hybrid form, plus V(a)."""
-
-    C: float
-    B: float
-    A_hat: float
-    v_a: float  # V(a) = C f(a), cached to avoid branch recursion
+# math.exp overflows beyond this argument
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _affine(x, k: int, slope: float, intercept: float):
@@ -207,30 +202,6 @@ def hybrid_value_ac(params: ModelParams, roots: Roots, a, l, y):
     return (P, Q, fa), N, (fa, fpa), (k * Jdl, gdl), h
 
 
-def hybrid_coefficients(
-    params: ModelParams, roots: Roots, a: float, a_c: float, b: float
-) -> HybridCoefficients:
-    """Coefficients of V(.; Hybrid(a, a_c, b)), from hybrid_kernel.
-
-    Requires b > a_c + chi/beta (immediate payments must net strictly
-    positive) and 0 <= a <= a_c; b may be infinite.
-    """
-    if not 0.0 <= a <= a_c:
-        raise ValueError(f"need 0 <= a <= a_c, got ({a}, {a_c})")
-    if not b > a_c + params.chi / params.beta:
-        raise ValueError(
-            f"need b > a_c + chi/beta = {a_c + params.chi / params.beta}, got b={b}"
-        )
-    *_, C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
-    # den tends to P = f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
-    # denominator this many orders below that is cancellation noise
-    if not abs(den) > 1e-12 * P:
-        raise DegenerateDenominatorError(
-            f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
-        )
-    return HybridCoefficients(C=C, B=B, A_hat=A_hat, v_a=C * fa)
-
-
 def _liquidation_numerator(params: ModelParams, roots: Roots, b: float) -> float:
     """alpha b - chi - (g mu/(g+d)^2)(1 - e^{s1 b}), the numerator of A(b) g(b)."""
     gm2 = params.gamma * params.mu / (params.gamma + params.delta) ** 2
@@ -284,10 +255,20 @@ class ValueFunction:
                 a, a_c, b = strategy.a_p, strategy.a_c, strategy.b
             else:
                 a, a_c, b = strategy.b, strategy.b, math.inf
-            co = hybrid_coefficients(params, roots, a, a_c, b)
-            C, A_hat, d = co.C, co.A_hat, b - a
-            bt = co.B - A_hat * math.exp(-r1 * d)  # B - A
-            c0 = pv * (m1 + co.v_a - a)
+            if not nets_positive(strategy, chi, beta):
+                raise ValueError(f"need b > a_c + chi/beta = {a_c + chi / beta}, got b={b}")
+            if roots.r0 * a > _LOG_DBL_MAX:
+                raise OutOfRangeError(f"f(a) overflows at lower barrier a={a}: r0 a > log(DBL_MAX)")
+            *_, C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
+            # den tends to P = f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
+            # denominator this many orders below that is cancellation noise
+            if not abs(den) > 1e-12 * P:
+                raise DegenerateDenominatorError(
+                    f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
+                )
+            d = b - a
+            bt = B - A_hat * math.exp(-r1 * d)  # B - A
+            c0 = pv * (m1 + C * fa - a)  # V(a) = C f(a)
 
             def mid(x, k):
                 v = bt * s1**k * np.exp(s1 * (x - a)) + _affine(x, k, pv, c0)
@@ -296,7 +277,7 @@ class ValueFunction:
                 return v
 
             if a > 0.0:
-                pieces.append((a, lambda x, k: C * (f, f_d1, f_d2)[k](roots, x)))
+                pieces.append((a, lambda x, k: C * f(roots, x, k)))
             pieces.append((b, mid))
             if math.isfinite(b):
                 v_ac = float(mid(np.float64(a_c), 0))

@@ -30,6 +30,10 @@ from .core import ModelParams, Roots
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy
 from .values import ValueFunction, hybrid_value_ac
 
+KINK_WINDOW = 1e-6  # check_hjb skips condition A this close to a kink
+AUDIT_POINTS = 2000  # audit_derivative_pattern's grid size
+AUDIT_ATOL = 1e-9  # its slack at the band edges
+
 
 @dataclass
 class HJBReport:
@@ -81,7 +85,6 @@ def check_hjb(
     x_grid: np.ndarray | None = None,
     xi_grid_density: int = 6,
     tol: float = 1e-6,
-    kink_window: float = 1e-6,
 ) -> HJBReport:
     """Grid check of the two optimality inequalities for V = V(.; strategy).
 
@@ -112,7 +115,7 @@ def check_hjb(
     largest target attaining the condition A maximum.
 
     Both residuals are scaled by 1 + |V(x)|. They are also reported per x:
-    resid_generator is condition A's left side, NaN within kink_window of a
+    resid_generator is condition A's left side, NaN within KINK_WINDOW of a
     kink, where it is skipped (V'' is undefined there); resid_payment is
     the gain of the best payment xi > 0 (-inf at x = 0), whose positive
     part is condition B's residual. x_grid must be non-negative.
@@ -142,7 +145,7 @@ def check_hjb(
     gen = 0.5 * params.sigma**2 * d2 + params.mu * d1 - params.delta * v
     ok_a = np.ones_like(x, dtype=bool)
     for k in vf.kinks:
-        ok_a &= np.abs(x - k) > kink_window
+        ok_a &= np.abs(x - k) > KINK_WINDOW
     resid_a = np.where(ok_a, (gen + params.gamma * sup_a) / scale, np.nan)
     if ok_a.any():
         ia = int(np.argmax(np.where(ok_a, resid_a, -np.inf)))
@@ -267,8 +270,6 @@ def audit_derivative_pattern(
     params: ModelParams,
     roots: Roots,
     strategy: Hybrid,
-    n_points: int = 2000,
-    atol: float = 1e-9,
 ) -> PatternAudit:
     """Check the slope-band pattern of a candidate-optimal hybrid strategy.
 
@@ -277,8 +278,9 @@ def audit_derivative_pattern(
     a_p = 0 < a_c:     V'(0) in (beta, 1]; otherwise as above.
     a_p = a_c = 0:     V'(0) in (0, beta]; V' in (0, beta) on (0, b).
 
-    Grid points within one spacing of a barrier are skipped (the bands are
-    open there); atol absorbs rounding at the band edges.
+    The grid has AUDIT_POINTS points. Those within one spacing of a
+    barrier are skipped (the bands are open there); AUDIT_ATOL absorbs
+    rounding at the band edges.
     """
     if not isinstance(strategy, Hybrid):
         raise TypeError("pattern audit applies to hybrid strategies")
@@ -292,7 +294,7 @@ def audit_derivative_pattern(
         branch = "both_zero"
 
     hi = 1.5 * b + 1.0 / roots.r1 if math.isfinite(b) else 3.0 * (a_c + 1.0 / roots.r1)
-    x = np.linspace(0.0, hi, n_points)
+    x = np.linspace(0.0, hi, AUDIT_POINTS)
     h = x[1] - x[0]
     d1 = vf.d1(x)
     violations: list[tuple[float, float, str]] = []
@@ -301,7 +303,7 @@ def audit_derivative_pattern(
         violations.extend((xv, dv, label) for xv, dv in zip(x[bad].tolist(), d1[bad].tolist()))
 
     def band(mask, lo, hi_, label):
-        flag(mask & ~((lo - atol < d1) & (d1 < hi_ + atol)), label)
+        flag(mask & ~((lo - AUDIT_ATOL < d1) & (d1 < hi_ + AUDIT_ATOL)), label)
 
     away = lambda lev: np.abs(x - lev) > h
     if branch == "interior":
@@ -314,7 +316,7 @@ def audit_derivative_pattern(
         )
     elif branch == "ap_zero":
         v0 = float(vf.d1(0.0))
-        if not (params.beta - atol < v0 <= 1.0 + atol):
+        if not (params.beta - AUDIT_ATOL < v0 <= 1.0 + AUDIT_ATOL):
             violations.append((0.0, v0, "V'(0) in (beta, 1]"))
         band(
             (x > 0) & (x < a_c) & away(a_c),
@@ -324,7 +326,7 @@ def audit_derivative_pattern(
         )
     else:
         v0 = float(vf.d1(0.0))
-        if not (0.0 < v0 <= params.beta + atol):
+        if not (0.0 < v0 <= params.beta + AUDIT_ATOL):
             violations.append((0.0, v0, "V'(0) in (0, beta]"))
     band(
         (x > a_c) & (x < b) & away(a_c) & away(b),

@@ -124,6 +124,12 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_is_usage_error(self, horizon, capsys):
+        rc = main(["simulate"] + NEG + ["--paths", "200", "--horizon", horizon])
+        assert rc == 3
+        assert "horizon" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_baseline_passes(self, capsys):

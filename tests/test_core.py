@@ -1,26 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from divopt import (
-    EXP_ARG_LIMIT,
-    J,
-    J_d1,
-    ModelParams,
-    OverflowGuardError,
-    exp_guarded,
-    f,
-    f_d1,
-    f_d2,
-    g,
-    g_d1,
-    g_d2,
-    laplace_exponent,
-    solve_roots,
-)
+from divopt import ModelParams, f, laplace_exponent, solve_roots
 
 # shared strategy for arbitrary-but-sane parameter sets
 param_sets = hs.builds(
@@ -114,72 +100,60 @@ class TestRoots:
 
     def test_a_bar_is_inflection_of_f(self, pos_params, pos_roots):
         assert pos_roots.a_bar > 0
-        assert float(f_d2(pos_roots, pos_roots.a_bar)) == pytest.approx(0.0, abs=1e-9)
+        assert f(pos_roots, pos_roots.a_bar, 2) == pytest.approx(0.0, abs=1e-9)
+
+
+def g_roots(p):
+    """g(x) = e^{r1 x} - e^{s1 x} is f one discount level up: f's roots at
+    delta' = gamma + delta are (r1, s1)."""
+    return solve_roots(replace(p, delta=p.gamma + p.delta))
 
 
 class TestScaleFunctionBuildingBlocks:
-    def test_vanish_at_zero(self, pos_roots):
-        for fn in (f, g, J):
-            assert float(fn(pos_roots, 0.0)) == 0.0
+    def test_vanish_at_zero(self, pos_params, pos_roots):
+        for r in (pos_roots, g_roots(pos_params)):
+            assert f(r, 0.0) == 0.0
+            assert f(r, np.zeros(3)).tolist() == [0.0] * 3
+
+    def test_g_roots_are_r1_s1(self, pos_params, pos_roots):
+        gr = g_roots(pos_params)
+        assert (gr.r0, gr.s0) == (pos_roots.r1, pos_roots.s1)
 
     def test_symmetric_g_value(self):
         # r1 = 1, s1 = -1: g(1) = e - 1/e
         p = ModelParams(mu=0.0, sigma=math.sqrt(2), chi=0.0, beta=0.9, gamma=0.85, delta=0.15)
-        r = solve_roots(p)
-        assert float(g(r, 1.0)) == pytest.approx(math.e - 1.0 / math.e, rel=1e-14)
+        assert f(g_roots(p), 1.0) == pytest.approx(math.e - 1.0 / math.e, rel=1e-14)
 
-    def test_monotone_and_positive(self, pos_roots):
+    def test_monotone_and_positive(self, pos_params, pos_roots):
         xs = np.linspace(0.0, 4.0, 200)
-        assert np.all(np.diff(f(pos_roots, xs)) > 0)
-        assert np.all(np.diff(g(pos_roots, xs)) > 0)
-        assert np.all(J(pos_roots, xs)[1:] > 0)
-        assert np.all(J_d1(pos_roots, xs)[1:] > 0)
+        for r in (pos_roots, g_roots(pos_params)):
+            assert np.all(np.diff(f(r, xs)) > 0)
+            assert np.all(f(r, xs, 1) > 0)
 
-    def test_J_prime_matches_finite_differences(self, pos_roots):
-        # central differences converge at O(h^2) to the analytic derivative
-        xs = np.array([0.1, 0.5, 1.3, 2.7])
-        errs = []
-        for h in (1e-3, 5e-4):
-            fd = (J(pos_roots, xs + h) - J(pos_roots, xs - h)) / (2 * h)
-            errs.append(np.max(np.abs(fd - J_d1(pos_roots, xs))))
-        assert errs[1] == pytest.approx(errs[0] / 4.0, rel=0.05)
-        assert errs[1] < 1e-4
+    def test_float_and_array_paths_agree(self, pos_roots):
+        xs = np.array([0.0, 0.05, 0.4, 1.1, 7.0])
+        for k in (0, 1, 2):
+            arr = f(pos_roots, xs, k)
+            assert [f(pos_roots, float(x), k) for x in xs] == pytest.approx(arr, rel=1e-14)
 
-    def test_derivatives_of_f_and_g_match_fd(self, pos_roots):
+    def test_derivatives_of_f_and_g_match_fd(self, pos_params, pos_roots):
         xs = np.array([0.05, 0.4, 1.1])
         h = 1e-6
-        for fn, d1 in ((f, f_d1), (g, g_d1)):
-            fd = (fn(pos_roots, xs + h) - fn(pos_roots, xs - h)) / (2 * h)
-            assert np.allclose(fd, d1(pos_roots, xs), rtol=1e-7, atol=1e-9)
-        for d1, d2 in ((f_d1, f_d2), (g_d1, g_d2)):
-            fd = (d1(pos_roots, xs + h) - d1(pos_roots, xs - h)) / (2 * h)
-            assert np.allclose(fd, d2(pos_roots, xs), rtol=1e-6, atol=1e-8)
+        for r in (pos_roots, g_roots(pos_params)):
+            fd = (f(r, xs + h) - f(r, xs - h)) / (2 * h)
+            assert np.allclose(fd, f(r, xs, 1), rtol=1e-7, atol=1e-9)
+            fd = (f(r, xs + h, 1) - f(r, xs - h, 1)) / (2 * h)
+            assert np.allclose(fd, f(r, xs, 2), rtol=1e-6, atol=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(param_sets, hs.floats(0.0, 8.0))
     def test_g_satisfies_its_ode(self, p, x):
-        r = solve_roots(p)
-        if r.r1 * x > EXP_ARG_LIMIT:
+        r = g_roots(p)
+        if r.r0 * x > 700.0:  # e^{r1 x} leaves the floating-point range
             return
-        lhs = (
-            float(g_d2(r, x))
-            - (r.r1 + r.s1) * float(g_d1(r, x))
-            + r.r1 * r.s1 * float(g(r, x))
-        )
-        scale = abs(float(g_d2(r, x))) + abs(float(g(r, x))) + 1.0
+        lhs = f(r, x, 2) - (r.r0 + r.s0) * f(r, x, 1) + r.r0 * r.s0 * f(r, x)
+        scale = abs(f(r, x, 2)) + abs(f(r, x)) + 1.0
         assert abs(lhs) <= 1e-9 * scale
-
-
-class TestExpGuard:
-    def test_raises_beyond_limit(self):
-        with pytest.raises(OverflowGuardError):
-            exp_guarded(EXP_ARG_LIMIT + 1.0)
-        with pytest.raises(OverflowGuardError):
-            exp_guarded(np.array([0.0, EXP_ARG_LIMIT + 5.0]))
-
-    def test_plain_values_pass_through(self):
-        assert exp_guarded(0.0) == 1.0
-        assert np.allclose(exp_guarded(np.array([0.0, 1.0])), [1.0, math.e])
 
 
 class TestRescaling:

@@ -13,44 +13,60 @@ from divopt import (
     PeriodicZero,
     SimConfig,
     ValueFunction,
-    policy_step,
     simulate,
     simulate_at,
     solve,
     solve_roots,
 )
+from divopt.simulate import _Rules
 
 
 class TestPolicyStep:
+    """The payment rules the engine applies (simulate._Rules): periodic(x)
+    and immediate(x) give (amount, new surplus, path ends), triggered(x)
+    the trigger set, interval(x) the ends of the interval a step exits."""
+
     def test_hybrid_payment_map(self):
-        st = Hybrid(1.0, 2.0, 4.0)
-        d = policy_step(st, 4.5, is_decision_time=False)
-        assert (d.amount, d.kind) == (2.5, "immediate")
-        d = policy_step(st, 3.0, is_decision_time=True)
-        assert (d.amount, d.kind) == (2.0, "periodic")
-        d = policy_step(st, 3.0, is_decision_time=False)
-        assert d.amount == 0.0
-        d = policy_step(st, 0.5, is_decision_time=True)
-        assert d.amount == 0.0  # at or below a_p: zero payment, a no-op
+        rules = _Rules(Hybrid(1.0, 2.0, 4.0))
+        # the trigger set [b, inf) is closed at b
+        x = np.array([0.5, 3.0, 3.99, 4.0, 4.5])
+        assert rules.triggered(x).tolist() == [False, False, False, True, True]
+        amount, new, ends = rules.immediate(np.array([4.5]))
+        assert (amount.tolist(), new.tolist(), ends) == ([2.5], [2.0], False)
+        # at or below a_p a decision time pays zero, which is no payment
+        amount, new, ends = rules.periodic(np.array([3.0, 0.5]))
+        assert (amount.tolist(), new.tolist(), ends) == ([2.0, 0.0], [1.0, 0.5], False)
+        lo, hi = rules.interval(np.array([0.5, 3.0]))
+        assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0], [4.0, 4.0])
 
     def test_liquidation_payment_map(self):
-        st = Liquidation(1.0, 2.0)
-        assert policy_step(st, 1.5, False).amount == 1.5
-        assert policy_step(st, 2.5, False).amount == 0.0
-        assert policy_step(st, 1.0, False).amount == 0.0  # endpoints excluded
-        assert policy_step(st, 2.5, True) == policy_step(st, 2.5, True)
-        assert policy_step(st, 2.5, True).amount == 2.5
-        assert policy_step(st, 2.5, True).kind == "periodic"
+        rules = _Rules(Liquidation(1.0, 2.0))
+        # both ends of the band (b1, b2) are excluded
+        x = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+        assert rules.triggered(x).tolist() == [False, False, True, False, False]
+        amount, new, ends = rules.immediate(np.array([1.5]))
+        assert (amount.tolist(), new.tolist(), ends) == ([1.5], [0.0], True)
+        amount, new, ends = rules.periodic(np.array([2.5]))
+        assert (amount.tolist(), new.tolist(), ends) == ([2.5], [0.0], True)
+        lo, hi = rules.interval(np.array([0.5, 2.0, 2.5]))
+        assert (lo.tolist(), hi.tolist()) == ([0.0, 2.0, 2.0], [1.0, math.inf, math.inf])
 
     def test_periodic_families(self):
-        assert policy_step(PeriodicZero(), 1.7, True).amount == 1.7
-        assert policy_step(PeriodicZero(), 1.7, False).amount == 0.0
-        assert policy_step(PeriodicBarrier(1.0), 1.7, True).amount == pytest.approx(0.7)
-        assert policy_step(PeriodicBarrier(1.0), 0.7, True).amount == 0.0
+        x = np.array([1.7, 0.7])
+        pz, pb = _Rules(PeriodicZero()), _Rules(PeriodicBarrier(1.0))
+        for rules in (pz, pb):
+            assert not rules.triggered(x).any()
+            lo, hi = rules.interval(x)
+            assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0], [math.inf, math.inf])
+        amount, new, ends = pz.periodic(x)
+        assert (amount.tolist(), new.tolist(), ends) == ([1.7, 0.7], [0.0, 0.0], True)
+        amount, new, ends = pb.periodic(x)
+        assert amount.tolist() == pytest.approx([0.7, 0.0])
+        assert (new.tolist(), ends) == ([1.0, 0.7], False)
 
-    def test_negative_surplus_rejected(self):
-        with pytest.raises(ValueError):
-            policy_step(PeriodicZero(), -0.1, True)
+    def test_negative_surplus_rejected(self, neg_params, neg_roots):
+        with pytest.raises(ConfigError):
+            simulate_at(neg_params, neg_roots, PeriodicZero(), SimConfig(n_paths=64), [-0.1])
 
 
 class TestSimConfig:
@@ -67,6 +83,13 @@ class TestSimConfig:
     def test_non_integral_path_count_rejected(self):
         with pytest.raises(ConfigError):
             SimConfig(n_paths=10.5, antithetic=False)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_horizon_rejected(self, horizon):
+        # nan would give eps = nan and cut every path after one step; inf
+        # would give eps = 0 and never cut one
+        with pytest.raises(ConfigError):
+            SimConfig(horizon=horizon)
 
     def test_horizon_resolution(self):
         cfg = SimConfig(truncation_tol=1e-6)
@@ -88,6 +111,11 @@ class TestSimulate:
     def test_no_starting_point_rejected(self, neg_params, neg_roots):
         with pytest.raises(ConfigError):
             simulate_at(neg_params, neg_roots, PeriodicZero(), SimConfig(n_paths=64), [])
+
+    def test_hybrid_netting_nothing_rejected(self, pos_params, pos_roots):
+        # b - a_c = 0.001 <= chi/beta: refused before any path is drawn
+        with pytest.raises(ConfigError):
+            simulate_at(pos_params, pos_roots, Hybrid(0.3, 0.38, 0.381), SimConfig(), [0.5])
 
     def test_engine_counters(self, pos_params, pos_roots):
         st = solve(pos_params).strategy

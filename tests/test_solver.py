@@ -22,7 +22,6 @@ from divopt import (
     nu_riskiness,
     periodic_b0,
     solve,
-    solve_hybrid,
     solve_roots,
     solve_unprofitable,
     sufficient_condition_hints,
@@ -156,15 +155,6 @@ class TestHybridSolve:
         st = solve(pos_params).strategy
         assert 0 <= st.a_p <= st.a_c < st.b
         assert st.b > st.a_c + pos_params.chi / pos_params.beta
-
-    def test_unique_solution_under_perturbed_search_knobs(self, pos_params, pos_roots):
-        a = solve_hybrid(pos_params, pos_roots)
-        b = solve_hybrid(pos_params, pos_roots, l_step0=0.011, y_seed=0.7)
-        c = solve_hybrid(pos_params, pos_roots, l_step0=0.31, y_seed=0.002)
-        for other in (b, c):
-            assert abs(other.strategy.a_p - a.strategy.a_p) < 1e-7
-            assert abs(other.strategy.a_c - a.strategy.a_c) < 1e-7
-            assert abs(other.strategy.b - a.strategy.b) < 1e-7
 
     def test_vanishing_fixed_cost_closes_the_gap(self):
         # |b* - a_p*| shrinks monotonically as chi drops toward 0

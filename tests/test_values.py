@@ -8,15 +8,17 @@ from divopt import (
     Hybrid,
     Liquidation,
     ModelParams,
+    OutOfRangeError,
     PeriodicBarrier,
     PeriodicZero,
     ValueFunction,
     c_beta_chi,
-    hybrid_coefficients,
+    f,
     liquidation_A,
     solve,
     solve_roots,
 )
+from divopt.strategies import nets_positive
 from divopt.values import hybrid_kernel
 from divopt.verify import hybrid_objective
 
@@ -31,57 +33,83 @@ def solved_neg(neg_params):
     return solve(neg_params)
 
 
+def _C(params, roots, a, a_c, b):
+    """The coefficient C of V(.; Hybrid(a, a_c, b)), as ValueFunction reads it."""
+    return hybrid_kernel(params, roots)(a, a_c - a, b - a_c)[3]
+
+
+def _C_limit(params, roots, a):
+    """C's limit as d = b - a grows, independent of the gaps."""
+    gd = params.gamma + params.delta
+    return (params.gamma * params.mu / gd**2 - roots.pvfactor / roots.s1) / (
+        params.delta / gd * f(roots, a) - f(roots, a, 1) / roots.s1
+    )
+
+
 class TestHybridCoefficients:
     def test_zero_lower_barrier_kills_first_denominator_term(self, pos_params, pos_roots):
-        # f(0) = 0, so the denominator reduces to f'(0) (g(d) - g(l))
-        from divopt import J as J_, f_d1, g as g_
-        a, a_c, b = 0.0, 0.4, 1.5
-        co = hybrid_coefficients(pos_params, pos_roots, a, a_c, b)
+        # f(0) = 0, so the denominator reduces to f'(0) (g(d) - g(l)), with
+        # g and J written out here rather than read from the kernel
         r = pos_roots
+        g = lambda x: math.exp(r.r1 * x) - math.exp(r.s1 * x)
+        J = lambda x: -r.s1 * g(x) + (r.r1 - r.s1) * (math.exp(r.s1 * x) - 1.0)
+        a, a_c, b = 0.0, 0.4, 1.5
         d, l = b - a, a_c - a
-        gdl = float(g_(r, d) - g_(r, l))
-        Jdl = float(J_(r, d) - J_(r, l))
+        gdl, Jdl = g(d) - g(l), J(d) - J(l)
         gd = pos_params.gamma + pos_params.delta
         num = (
             (r.r1 - r.s1) * (r.alpha * (d - l) - pos_params.chi)
             + r.pvfactor * gdl
             + pos_params.gamma * pos_params.mu / gd**2 * Jdl
         )
-        assert co.C == pytest.approx(num / (float(f_d1(r, 0.0)) * gdl), rel=1e-12)
+        C = _C(pos_params, pos_roots, a, a_c, b)
+        assert C == pytest.approx(num / (f(r, 0.0, 1) * gdl), rel=1e-12)
 
     def test_solved_coefficients_give_unit_slope_at_ap(
         self, pos_params, pos_roots, solved_pos
     ):
         st = solved_pos.strategy
-        co = hybrid_coefficients(pos_params, pos_roots, st.a_p, st.a_c, st.b)
-        from divopt import f_d1
-        assert co.C * float(f_d1(pos_roots, st.a_p)) == pytest.approx(1.0, abs=1e-8)
+        C = _C(pos_params, pos_roots, st.a_p, st.a_c, st.b)
+        assert C * f(pos_roots, st.a_p, 1) == pytest.approx(1.0, abs=1e-8)
+        vf = ValueFunction(pos_params, pos_roots, st)
+        assert float(vf.d1(st.a_p)) == pytest.approx(C * f(pos_roots, st.a_p, 1), rel=1e-14)
 
     def test_large_l_limit_matches_closed_form(self, pos_params, pos_roots):
-        # the coefficient converges (in l) to a limit independent of y
-        from divopt import f as f_, f_d1
-        r = pos_roots
-        gd = pos_params.gamma + pos_params.delta
-        a = 0.2
-        lim = (pos_params.gamma * pos_params.mu / gd**2 - r.pvfactor / r.s1) / (
-            pos_params.delta / gd * float(f_(r, a)) - float(f_d1(r, a)) / r.s1
-        )
-        # the non-exponential numerator terms die off like e^{-r1 l}
-        big_l = 35.0 / r.r1
-        co = hybrid_coefficients(pos_params, pos_roots, a, a + big_l, a + big_l + 1.0)
-        assert co.C == pytest.approx(lim, rel=1e-9)
+        # the coefficient converges (in l) to a limit independent of y; the
+        # non-exponential numerator terms die off like e^{-r1 l}
+        a, big_l = 0.2, 35.0 / pos_roots.r1
+        C = _C(pos_params, pos_roots, a, a + big_l, a + big_l + 1.0)
+        assert C == pytest.approx(_C_limit(pos_params, pos_roots, a), rel=1e-9)
 
     def test_admissibility_enforced(self, pos_params, pos_roots):
         with pytest.raises(ValueError):
-            hybrid_coefficients(pos_params, pos_roots, 0.5, 0.4, 2.0)
+            ValueFunction(pos_params, pos_roots, Hybrid(0.5, 0.4, 2.0))
         with pytest.raises(ValueError):
             # gap below chi/beta nets a negative payment
-            hybrid_coefficients(pos_params, pos_roots, 0.1, 0.4, 0.4 + 0.005)
+            ValueFunction(pos_params, pos_roots, Hybrid(0.1, 0.4, 0.4 + 0.005))
+        with pytest.raises(ValueError):
+            ValueFunction(pos_params, pos_roots, Hybrid(0.3, 0.38, 0.381))
+
+    def test_net_payment_rule(self, pos_params):
+        chi, beta = pos_params.chi, pos_params.beta
+        assert nets_positive(Hybrid(0.3, 0.38, 0.4), chi, beta)
+        assert not nets_positive(Hybrid(0.3, 0.38, 0.381), chi, beta)
+        assert not nets_positive(Hybrid(0.3, 0.38, 0.38 + chi / beta), chi, beta)
+        assert nets_positive(Hybrid(0.3, 0.38, math.inf), chi, beta)
+        for st in (PeriodicBarrier(0.3), PeriodicZero(), Liquidation(0.001, 0.002)):
+            assert nets_positive(st, chi, beta)
 
     def test_degenerate_denominator_reported(self, pos_roots):
         p = ModelParams(mu=1.0, sigma=0.3, chi=0.0, beta=0.9, gamma=1.0, delta=0.15)
         with pytest.raises(DegenerateDenominatorError):
-            hybrid_coefficients(p, pos_roots, 0.1, 0.4, 0.4 + 1e-15)
+            ValueFunction(p, pos_roots, Hybrid(0.1, 0.4, 0.4 + 1e-15))
+
+    def test_far_lower_barrier_is_out_of_range(self, pos_params, pos_roots):
+        # r0 a beyond log(DBL_MAX): f(a) itself is not a float
+        assert pos_roots.r0 * 5000.0 > 710.0
+        for st in (PeriodicBarrier(5000.0), Hybrid(5000.0, 5001.0, 5002.0)):
+            with pytest.raises(OutOfRangeError):
+                ValueFunction(pos_params, pos_roots, st)
 
 
 class TestHybridKernel:
@@ -117,17 +145,10 @@ class TestHybridKernel:
         assert arr[0] == pytest.approx(ref, rel=1e-12)
 
     def test_infinite_b_is_the_periodic_limit(self, pos_params, pos_roots):
-        # d -> inf: A -> 0 and C tends to the closed form below
-        from divopt import f as f_, f_d1
-
-        r = pos_roots
-        gd = pos_params.gamma + pos_params.delta
+        # d -> inf: A -> 0 and C tends to _C_limit
         for a in (0.0, 0.2, 0.45):
-            lim = (pos_params.gamma * pos_params.mu / gd**2 - r.pvfactor / r.s1) / (
-                pos_params.delta / gd * float(f_(r, a)) - float(f_d1(r, a)) / r.s1
-            )
-            co = hybrid_coefficients(pos_params, pos_roots, a, a, math.inf)
-            assert co.C == pytest.approx(lim, rel=1e-12)
+            C = _C(pos_params, pos_roots, a, a, math.inf)
+            assert C == pytest.approx(_C_limit(pos_params, pos_roots, a), rel=1e-12)
             pb = ValueFunction(pos_params, pos_roots, PeriodicBarrier(a))
             hy = ValueFunction(pos_params, pos_roots, Hybrid(a, a, math.inf))
             xs = np.linspace(0.0, a + 3.0, 50)
