@@ -13,16 +13,16 @@ how the retained proportion beta compares with pvfactor = gamma/(gamma+delta)
 
 Hybrid barriers solve the smooth-fit system V'(a_p) = 1, V'(a_c) = beta,
 V'(b-) = beta (with boundary variants a_p = 0 / a_p = a_c = 0). The solver
-peels the system one dimension at a time:
+nests three levels, each solving exactly one condition for one unknown:
 
-    1. for fixed (a, l), the upper condition V'(b-) = beta pins y = b - a_c;
-    2. for fixed (l, y), the same condition pins a in [0, a_bar];
-    3. scanning y between the two extreme fits (a = a_bar and a = 0)
-       locates V'(a_p) = 1, or the boundary a_p = 0;
-    4. an outer expansion in l enforces V'(a_c) = beta, or accepts l = 0.
+    1. y = b - a_c, for fixed (a, l): V'(b-) = beta;
+    2. a = a_p in [0, a_bar], for fixed l: V'(a) = 1, or the boundary
+       a = a_bar (V'(a_bar) >= 1) or a = 0 (V'(0) <= 1);
+    3. l = a_c - a_p: an outer expansion enforces V'(a_c) = beta, or
+       accepts l = 0.
 
-For mu < 0 everything reduces to closed forms plus one-dimensional
-smallest-root scans.
+For mu < 0 everything reduces to closed forms plus one-dimensional root
+searches.
 """
 
 from __future__ import annotations
@@ -251,63 +251,23 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
     len_r, len_s = 1.0 / roots.r1, 1.0 / abs(roots.s1)
     kernel = hybrid_kernel(params, roots)
 
-    def vp_b(a, l, y):
-        return kernel(a, l, y)[2]
-
     def y_root(a: float, l: float) -> float:
-        # unique y with V'(b-) = beta at this (a, l)
-        fn = lambda y: vp_b(a, l, y) - beta
-        lo, hi, flo, fhi = bracket_geometric(fn, 1e-6 * len_r)
+        # V'(b-) = beta; a gap y <= chi/beta nets nothing, so the root lies above
+        fn = lambda y: kernel(a, l, y)[2] - beta
+        lo, hi, flo, fhi = bracket_geometric(fn, max(params.chi / beta, 1e-6 * len_r))
         return bisect_secant(fn, lo, hi, flo, fhi)
 
-    def a_of_y(l: float, y: float) -> float:
-        if abar == 0.0:
-            return 0.0
-        fn = lambda a: vp_b(a, l, y) - beta
-        flo, fhi = fn(0.0), fn(abar)
-        if flo * fhi > 0.0:
-            # y numerically at an end of its admissible band for this l
-            return 0.0 if abs(flo) <= abs(fhi) else abar
-        return bisect_secant(fn, 0.0, abar, flo, fhi)
-
     def inner(l: float) -> tuple[float, float]:
-        # (a, y) with V'(b-) = beta and V'(a) = 1, or a = 0 with V'(0) <= 1.
-        # Walk y upward from the a = a_bar fit: the matched a(y) falls and
-        # V'(a(y)) rises, so the first of {V'(a) = 1, a = 0} wins.
-        if abar == 0.0:
-            return 0.0, y_root(0.0, l)
-        y_lo = y_root(abar, l)
-        gap_lo = kernel(abar, l, y_lo)[0] - 1.0
-        if gap_lo >= 0.0:
-            return abar, y_lo
-
-        def slope_gap(y: float) -> float:
-            a = a_of_y(l, y)
-            return kernel(a, l, y)[0] - 1.0
-
-        y_prev, gap_prev = y_lo, gap_lo
-        y_cur = y_lo
-        for _ in range(200):
-            y_cur *= 1.6
-            if vp_b(0.0, l, y_cur) >= beta:
-                # passed the a = 0 fit; unless the slope condition crossed
-                # just below it, the boundary case binds (a = 0, V'(0) <= 1)
-                y0 = bisect_secant(
-                    lambda y: vp_b(0.0, l, y) - beta, y_prev, y_cur
-                )
-                gap_at_y0 = slope_gap(y0 * (1.0 - 1e-12))
-                if gap_at_y0 >= 0.0:
-                    ystar = bisect_secant(
-                        slope_gap, y_prev, y0 * (1.0 - 1e-12), gap_prev, gap_at_y0
-                    )
-                    return a_of_y(l, ystar), ystar
-                return 0.0, y0
-            gap_cur = slope_gap(y_cur)
-            if gap_cur >= 0.0:
-                ystar = bisect_secant(slope_gap, y_prev, y_cur, gap_prev, gap_cur)
-                return a_of_y(l, ystar), ystar
-            y_prev, gap_prev = y_cur, gap_cur
-        raise NoBracketError("slope condition V'(a) = 1 not bracketed in y")
+        # (a, y) with V'(a) = 1 at y = y_root(a, l); V'(a) - 1 falls in a, so
+        # a = a_bar when it is still >= 0 there and a = 0 when it is <= 0 at 0
+        slope_gap = lambda a: kernel(a, l, y_root(a, l))[0] - 1.0
+        gap_hi = slope_gap(abar)
+        if gap_hi >= 0.0:
+            a = abar
+        else:
+            gap_lo = slope_gap(0.0)
+            a = 0.0 if gap_lo <= 0.0 else bisect_secant(slope_gap, 0.0, abar, gap_lo, gap_hi)
+        return a, y_root(a, l)
 
     def middle_gap(l: float) -> tuple[float, float, float]:
         a, y = inner(l)
@@ -387,20 +347,17 @@ def solve_unprofitable(
             tol=tol,
         )
 
+    if params.chi == 0.0:
+        raise OutOfRangeError(
+            "at chi = 0 the optimal b1 -> 0 (pay everything now), which "
+            "Liquidation(b1 > 0, ...) cannot represent"
+        )
+
     if regime is Regime.UNPROFITABLE_LIQUIDATION_HALF:
-        lo = params.chi / beta if params.chi > 0.0 else 0.0
-        step = lo / 10.0 if lo > 0.0 else 0.05 / abs(roots.s1)
-        lo = lo + 1e-12 * (1.0 + lo)
-        window = max(20.0 * step, 1.0 / roots.r1)
-        b = None
-        for _ in range(60):
-            try:
-                b = smallest_root_scan(fn, lo, lo + window, step)
-                break
-            except NoBracketError:
-                lo, window = lo + window, window * 2.0
-        if b is None:
-            raise NoBracketError("no liquidation barrier found: V'(b-) never meets beta")
+        # V'(b-) - beta changes sign once above chi/beta, where payments net > 0
+        lo = params.chi / beta
+        lo, hi, flo, fhi = bracket_geometric(fn, lo + 1e-12 * (1.0 + lo))
+        b = bisect_secant(fn, lo, hi, flo, fhi)
         strategy = Liquidation(b, math.inf)
         vf = ValueFunction(params, roots, strategy)
         report = SolveReport(
@@ -456,9 +413,10 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
 
     The hybrid kernel evaluates only exponentials at most 1, so hybrid
     barriers come out finite however far out they lie. Raises
-    NoBracketError when a root search finds no sign change, and DivoptError
-    when the solved barriers miss their smooth-fit conditions by tol or
-    more.
+    NoBracketError when a root search finds no sign change, OutOfRangeError
+    for a liquidation regime at chi = 0 (its optimum b1 -> 0 is no
+    Liquidation), and DivoptError when the solved barriers miss their
+    smooth-fit conditions by tol or more.
     """
     roots = solve_roots(params)
     regime = classify_regime(params, roots)

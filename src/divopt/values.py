@@ -260,6 +260,10 @@ class ValueFunction:
             if roots.r0 * a > _LOG_DBL_MAX:
                 raise OutOfRangeError(f"f(a) overflows at lower barrier a={a}: r0 a > log(DBL_MAX)")
             *_, C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
+            # P (below) bounds den and f'(a); it overflows before f(a) does
+            # once r0 - s1 delta/(g+d) > 1
+            if not math.isfinite(P):
+                raise OutOfRangeError(f"f'(a) - s1 k f(a) overflows at lower barrier a={a}")
             # den tends to P = f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
             # denominator this many orders below that is cancellation noise
             if not abs(den) > 1e-12 * P:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from divopt import (
     Hybrid,
     Liquidation,
     ModelParams,
+    NoBracketError,
     OutOfRangeError,
     PeriodicBarrier,
     PeriodicZero,
@@ -247,6 +249,18 @@ class TestUnprofitableSolve:
         with pytest.raises(OutOfRangeError):
             solve_unprofitable(pos_params, pos_roots)
 
+    def test_zero_fixed_cost_liquidation_is_out_of_range(self):
+        # b1 falls toward 0 with chi (about as its square root): at chi = 0
+        # the optimum pays everything now, which no Liquidation(b1 > 0, .) is
+        for beta, regime in ((0.95, Regime.UNPROFITABLE_LIQUIDATION_HALF),
+                             (0.7, Regime.UNPROFITABLE_LIQUIDATION_FINITE)):
+            b1 = [solve(mk(mu=-1.0, chi=chi, beta=beta)).strategy.b1 for chi in (1e-2, 1e-4, 1e-6)]
+            assert b1[0] > b1[1] > b1[2] > 0.0 and b1[2] < 1e-3
+            p = mk(mu=-1.0, chi=0.0, beta=beta)
+            assert classify_regime(p, solve_roots(p)) is regime
+            with pytest.raises(OutOfRangeError, match="b1 -> 0"):
+                solve(p)
+
 
 class TestHints:
     def test_reference_point_predicts_interior(self, pos_params, pos_roots):
@@ -317,10 +331,13 @@ class TestLargeBarriers:
             # b is about 6,976
             ModelParams(0.43158022021548037, 1.8365737108514044, 0.1627946028491065,
                         0.5515639313615421, 0.8059482717258291, 0.6553191894801308),
+            # r1 b is about 27,861 (b about 14,011)
+            ModelParams(1.1950516884324913, 0.1536703162521798, 0.34605675857543833,
+                        0.8692134344065021, 2.106100933053537, 0.31696421985001044),
         ],
     )
     def test_far_upper_barrier_is_finite_and_verified(self, p):
-        from divopt import check_hjb
+        from divopt import audit_derivative_pattern, check_hjb
 
         r = solve_roots(p)
         rep = solve(p)
@@ -329,6 +346,7 @@ class TestLargeBarriers:
         assert set(rep.residuals) == {"vprime_b", "vprime_ac", "vprime_ap"}
         assert all(v < 1e-10 for v in rep.residuals.values())
         assert check_hjb(p, r, rep.strategy).passed
+        assert audit_derivative_pattern(p, r, rep.strategy).passed
 
     @pytest.mark.parametrize(
         "p",
@@ -343,3 +361,34 @@ class TestLargeBarriers:
         rep = solve(p)
         assert rep.regime is Regime.PROFITABLE_HYBRID
         assert all(v < 1e-10 for v in rep.residuals.values())
+
+
+class TestFuzz:
+    def test_criterion_1_box_solves_or_raises_typed(self):
+        # criterion 1's box, every other draw at chi = 0 (the classical
+        # proportional-cost case): each solve ends in bounded time, with a
+        # strategy inside its residual gate or a typed error that names why
+        # (never a stray ValueError or a missed gate)
+        rng = np.random.default_rng(2024)
+        outcomes = {}
+        for i in range(200):
+            p = ModelParams(
+                mu=rng.uniform(-2.0, 2.0),
+                sigma=rng.uniform(0.1, 2.0),
+                chi=rng.uniform(0.0, 0.4) if i % 2 else 0.0,
+                beta=rng.uniform(0.05, 1.0),
+                gamma=rng.uniform(0.2, 3.0),
+                delta=rng.uniform(0.02, 0.8),
+            )
+            t0 = time.perf_counter()
+            try:
+                rep = solve(p)
+                outcome = rep.regime.value
+                assert all(v < rep.tol for v in rep.residuals.values())
+            except (NoBracketError, OutOfRangeError) as exc:
+                assert p.chi == 0.0, (p, exc)
+                outcome = type(exc).__name__
+            assert time.perf_counter() - t0 < 1.0, p
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        # the draws reach every regime and both typed errors
+        assert len(outcomes) == 7, outcomes

@@ -110,6 +110,14 @@ class TestHybridCoefficients:
         for st in (PeriodicBarrier(5000.0), Hybrid(5000.0, 5001.0, 5002.0)):
             with pytest.raises(OutOfRangeError):
                 ValueFunction(pos_params, pos_roots, st)
+        # r0 = 9.05: f(a) is a float, f'(a) - s1 (delta/(g+d)) f(a) is not
+        p = ModelParams(mu=0.01, sigma=0.1, chi=0.01, beta=0.9, gamma=1.0, delta=0.5)
+        r = solve_roots(p)
+        for a in (78.15, 78.3, 78.4):
+            assert r.r0 * a < 709.78 < r.r0 * a + math.log(r.r0 - r.s1 * 0.5 / 1.5)
+            for st in (PeriodicBarrier(a), Hybrid(a, a + 1.0, a + 2.0)):
+                with pytest.raises(OutOfRangeError):
+                    ValueFunction(p, r, st)
 
 
 class TestHybridKernel:
