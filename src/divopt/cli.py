@@ -263,9 +263,8 @@ def cmd_sweep(merged: dict) -> int:
                 )
             )
         except (DivoptError, ValueError) as exc:
-            lines.append(
-                ",".join([_fmt(float(v))] + [""] * 8 + [str(exc).replace(",", ";")])
-            )
+            error = f"{type(exc).__name__}: {exc}".replace(",", ";")
+            lines.append(",".join([_fmt(float(v))] + [""] * 8 + [error]))
     _write(merged.get("out"), "\n".join(lines) + "\n")
     return 0
 

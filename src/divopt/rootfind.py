@@ -96,7 +96,9 @@ def smallest_root_scan(
 ) -> float:
     """Leftmost root of fn in (lo, hi]: scan left to right, then refine.
 
-    Used where the smallest of possibly several roots is mandated.
+    For a target with possibly several roots in a known interval. It takes
+    (hi - lo)/step evaluations, so the solver does not use it: each of its
+    searches starts from a point known to lie below the only root.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")

@@ -15,14 +15,16 @@ Hybrid barriers solve the smooth-fit system V'(a_p) = 1, V'(a_c) = beta,
 V'(b-) = beta (with boundary variants a_p = 0 / a_p = a_c = 0). The solver
 nests three levels, each solving exactly one condition for one unknown:
 
-    1. y = b - a_c, for fixed (a, l): V'(b-) = beta;
+    1. y = b - a_c, for fixed (a, l): V'(b-) = beta (_upper_gap);
     2. a = a_p in [0, a_bar], for fixed l: V'(a) = 1, or the boundary
        a = a_bar (V'(a_bar) >= 1) or a = 0 (V'(0) <= 1);
     3. l = a_c - a_p: an outer expansion enforces V'(a_c) = beta, or
        accepts l = 0.
 
-For mu < 0 everything reduces to closed forms plus one-dimensional root
-searches.
+For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
+is Hybrid(0, 0, b1) below b2, so b1 is level 1's search at a = l = 0, for
+the finite window and the half-line alike; a finite b2 solves
+V'(b2+) = beta, which is linear in b2.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from typing import Any
 
 from .core import ModelParams, Roots, f, solve_roots
 from .errors import DivoptError, NoBracketError, OutOfRangeError
-from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan
+# smallest_root_scan is unused here but kept importable as solver.smallest_root_scan,
+# the name the benchmark's tracer wraps
+from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan  # noqa: F401
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
-from .values import ValueFunction, _liquidation_numerator, hybrid_kernel, periodic_zero
+from .values import ValueFunction, hybrid_kernel, periodic_zero
 
 
 class Regime(enum.Enum):
@@ -242,32 +246,43 @@ def periodic_b0(params: ModelParams, roots: Roots) -> float:
 # hybrid solve
 
 
+def _upper_gap(
+    params: ModelParams, roots: Roots, kernel, a: float, l: float, y_max: float = math.inf
+) -> float:
+    """y = b - a_c solving V'(b-) = beta for Hybrid(a, a + l, a + l + y).
+
+    A gap y <= chi/beta nets nothing, so the root lies above it; as chi
+    falls the root falls about as sqrt(chi), so no fixed floor stays below
+    it. From there the bracket grows geometrically, unless y_max, known to
+    lie above the root and below any second one, closes it.
+    """
+    fn = lambda y: kernel(a, l, y)[2] - params.beta
+    x0 = params.chi / params.beta if params.chi > 0.0 else 1e-6 / roots.r1
+    if y_max < math.inf:
+        return bisect_secant(fn, x0, y_max)
+    return bisect_secant(fn, *bracket_geometric(fn, x0))
+
+
 def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> SolveReport:
     """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta)."""
     if params.beta <= roots.pvfactor:
         raise OutOfRangeError("hybrid solve requires beta > gamma/(gamma+delta)")
     beta = params.beta
     abar = roots.a_bar
-    len_r, len_s = 1.0 / roots.r1, 1.0 / abs(roots.s1)
+    len_s = 1.0 / abs(roots.s1)
     kernel = hybrid_kernel(params, roots)
 
-    def y_root(a: float, l: float) -> float:
-        # V'(b-) = beta; a gap y <= chi/beta nets nothing, so the root lies above
-        fn = lambda y: kernel(a, l, y)[2] - beta
-        lo, hi, flo, fhi = bracket_geometric(fn, max(params.chi / beta, 1e-6 * len_r))
-        return bisect_secant(fn, lo, hi, flo, fhi)
-
     def inner(l: float) -> tuple[float, float]:
-        # (a, y) with V'(a) = 1 at y = y_root(a, l); V'(a) - 1 falls in a, so
-        # a = a_bar when it is still >= 0 there and a = 0 when it is <= 0 at 0
-        slope_gap = lambda a: kernel(a, l, y_root(a, l))[0] - 1.0
+        # (a, y) with V'(a) = 1 at the upper gap y of (a, l); V'(a) - 1 falls in
+        # a, so a = a_bar when it is still >= 0 there and a = 0 when <= 0 at 0
+        slope_gap = lambda a: kernel(a, l, _upper_gap(params, roots, kernel, a, l))[0] - 1.0
         gap_hi = slope_gap(abar)
         if gap_hi >= 0.0:
             a = abar
         else:
             gap_lo = slope_gap(0.0)
             a = 0.0 if gap_lo <= 0.0 else bisect_secant(slope_gap, 0.0, abar, gap_lo, gap_hi)
-        return a, y_root(a, l)
+        return a, _upper_gap(params, roots, kernel, a, l)
 
     def middle_gap(l: float) -> tuple[float, float, float]:
         a, y = inner(l)
@@ -290,122 +305,80 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
         l = bisect_secant(lambda ll: middle_gap(ll)[0], l_prev, l_cur, gap_prev, gap_cur)
         a, y = inner(l)
 
-    strategy = Hybrid(a, a + l, a + l + y)
-    vf = ValueFunction(params, roots, strategy)
-    residuals = {"vprime_b": abs(float(vf.d1(strategy.b, side="left")) - beta)}
-    boundary = {"ap_zero": a == 0.0, "ac_equals_ap": l == 0.0}
-    if l > 0.0:
-        residuals["vprime_ac"] = abs(float(vf.d1(strategy.a_c)) - beta)
-    else:
-        residuals["vprime_ac"] = max(0.0, float(vf.d1(0.0)) - beta)
-    if a > 0.0:
-        residuals["vprime_ap"] = abs(float(vf.d1(strategy.a_p)) - 1.0)
-    else:
-        residuals["vprime_ap"] = max(0.0, float(vf.d1(0.0)) - 1.0)
-    report = SolveReport(
-        regime=Regime.PROFITABLE_HYBRID,
-        strategy=strategy,
-        residuals=residuals,
-        boundary=boundary,
-        tol=tol,
-    )
-    _enforce_tol(report)
-    return report
+    return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y), tol)
 
 
 # ---------------------------------------------------------------------------
 # unprofitable solve
 
 
-def _liq_d1_left(params: ModelParams, roots: Roots, b: float) -> float:
-    # V'(b-; pi_{b, .}) = A(b) g'(b) + V'(b; pi0); independent of the upper
-    # barrier. A g' is evaluated through the bounded ratio g'/g (the two
-    # factors overflow separately once r1 b is large, their product not).
-    r1, s1 = roots.r1, roots.s1
-    w = math.exp((s1 - r1) * b)
-    num = _liquidation_numerator(params, roots, b)
-    ratio = (r1 - s1 * w) / (1.0 - w)  # = g'(b)/g(b)
-    return num * ratio + periodic_zero(params, roots, b, 1)
-
-
 def solve_unprofitable(
     params: ModelParams, roots: Roots, tol: float = 1e-10
 ) -> SolveReport:
-    """Optimal strategy for mu < 0, per the classified regime."""
+    """Optimal strategy for mu < 0, per the classified regime.
+
+    b1 solves V'(b1-) = beta for Hybrid(0, 0, b1). A finite window's b2 solves
+    V'(b2+) = beta, linear in b2, and closes b1's bracket: V'(b-) - beta turns
+    negative again above b1, maybe within one geometric step, but above b2.
+    """
     if params.mu >= 0.0:
         raise OutOfRangeError("solve_unprofitable requires mu < 0")
     regime = classify_regime(params, roots)
-    beta = params.beta
-    fn = lambda b: _liq_d1_left(params, roots, b) - beta
-
     if regime is Regime.UNPROFITABLE_PERIODIC_ZERO:
-        return SolveReport(
-            regime=regime,
-            strategy=PeriodicZero(),
-            residuals={},
-            boundary={},
-            tol=tol,
-        )
-
+        return _report(regime, params, roots, PeriodicZero(), tol)
     if params.chi == 0.0:
         raise OutOfRangeError(
             "at chi = 0 the optimal b1 -> 0 (pay everything now), which "
             "Liquidation(b1 > 0, ...) cannot represent"
         )
-
-    if regime is Regime.UNPROFITABLE_LIQUIDATION_HALF:
-        # V'(b-) - beta changes sign once above chi/beta, where payments net > 0
-        lo = params.chi / beta
-        lo, hi, flo, fhi = bracket_geometric(fn, lo + 1e-12 * (1.0 + lo))
-        b = bisect_secant(fn, lo, hi, flo, fhi)
-        strategy = Liquidation(b, math.inf)
-        vf = ValueFunction(params, roots, strategy)
-        report = SolveReport(
-            regime=regime,
-            strategy=strategy,
-            residuals={"vprime_b1": abs(float(vf.d1(b, side="left")) - beta)},
-            boundary={},
-            tol=tol,
-        )
-        _enforce_tol(report)
-        return report
-
-    # finite (b1, b2) window
-    gd = params.gamma + params.delta
-    gm2 = params.gamma * params.mu / gd**2
-    ab = a_beta(params, roots)
-    c = c_beta_chi(params, roots)
-    # V'(b2+) = beta reduces to a linear equation in b2
-    b2 = (params.chi * roots.s1 + roots.s1 * gm2 - (roots.pvfactor - beta)) / (
-        roots.s1 * roots.alpha
-    )
-    step = min(params.chi / beta / 10.0, (ab - c) / 16.0)
-    b1 = smallest_root_scan(fn, c, ab, step)
-    strategy = Liquidation(b1, b2)
-    vf = ValueFunction(params, roots, strategy)
-    report = SolveReport(
-        regime=regime,
-        strategy=strategy,
-        residuals={
-            "vprime_b1": abs(float(vf.d1(b1, side="left")) - beta),
-            "vprime_b2": abs(float(vf.d1(b2, side="right")) - beta),
-        },
-        boundary={},
-        tol=tol,
-        diagnostics={"a_beta": ab, "c_beta_chi": c},
-    )
-    _enforce_tol(report)
-    return report
+    b2 = math.inf
+    if regime is Regime.UNPROFITABLE_LIQUIDATION_FINITE:
+        s1 = roots.s1
+        gm2 = params.gamma * params.mu / (params.gamma + params.delta) ** 2
+        b2 = (params.chi * s1 + s1 * gm2 - (roots.pvfactor - params.beta)) / (s1 * roots.alpha)
+    b1 = _upper_gap(params, roots, hybrid_kernel(params, roots), 0.0, 0.0, b2)
+    return _report(regime, params, roots, Liquidation(b1, b2), tol)
 
 
 # ---------------------------------------------------------------------------
 # top-level dispatch
 
 
-def _enforce_tol(report: SolveReport) -> None:
-    bad = {k: v for k, v in report.residuals.items() if not v < report.tol}
+def _report(
+    regime: Regime, params: ModelParams, roots: Roots, strategy: Strategy, tol: float
+) -> SolveReport:
+    """The solved strategy's smooth-fit residuals and boundary flags, gated at tol."""
+    beta = params.beta
+    residuals: dict[str, float] = {}
+    boundary: dict[str, bool] = {}
+    if isinstance(strategy, PeriodicBarrier):
+        boundary["b0_zero"] = strategy.b == 0.0
+        if strategy.b > 0.0:
+            gd = params.gamma + params.delta
+            q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
+            residuals["periodic_target"] = abs(Q(params, roots, strategy.b) - q_star)
+    elif isinstance(strategy, Hybrid):
+        vf = ValueFunction(params, roots, strategy)
+        a, a_c = strategy.a_p, strategy.a_c
+        residuals["vprime_b"] = abs(float(vf.d1(strategy.b, side="left")) - beta)
+        boundary = {"ap_zero": a == 0.0, "ac_equals_ap": a_c == a}
+        if a_c > a:
+            residuals["vprime_ac"] = abs(float(vf.d1(a_c)) - beta)
+        else:
+            residuals["vprime_ac"] = max(0.0, float(vf.d1(0.0)) - beta)
+        if a > 0.0:
+            residuals["vprime_ap"] = abs(float(vf.d1(a)) - 1.0)
+        else:
+            residuals["vprime_ap"] = max(0.0, float(vf.d1(0.0)) - 1.0)
+    elif isinstance(strategy, Liquidation):
+        vf = ValueFunction(params, roots, strategy)
+        residuals["vprime_b1"] = abs(float(vf.d1(strategy.b1, side="left")) - beta)
+        if strategy.b2 < math.inf:
+            residuals["vprime_b2"] = abs(float(vf.d1(strategy.b2, side="right")) - beta)
+    bad = {k: v for k, v in residuals.items() if not v < tol}
     if bad:
-        raise DivoptError(f"solver residuals exceed tol={report.tol}: {bad}")
+        raise DivoptError(f"solver residuals exceed tol={tol}: {bad}")
+    return SolveReport(regime, strategy, residuals, boundary, tol)
 
 
 def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
@@ -421,21 +394,7 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     roots = solve_roots(params)
     regime = classify_regime(params, roots)
     if regime is Regime.PROFITABLE_PERIODIC:
-        b0 = periodic_b0(params, roots)
-        residuals = {}
-        if b0 > 0.0:
-            gd = params.gamma + params.delta
-            q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
-            residuals["periodic_target"] = abs(Q(params, roots, b0) - q_star)
-        report = SolveReport(
-            regime=regime,
-            strategy=PeriodicBarrier(b0),
-            residuals=residuals,
-            boundary={"b0_zero": b0 == 0.0},
-            tol=tol,
-        )
-        _enforce_tol(report)
-        return report
+        return _report(regime, params, roots, PeriodicBarrier(periodic_b0(params, roots)), tol)
     if regime is Regime.PROFITABLE_HYBRID:
         return solve_hybrid(params, roots, tol)
     return solve_unprofitable(params, roots, tol)

@@ -7,7 +7,9 @@ Four stationary Markov families cover every optimal regime:
   times pay down to a_c as soon as the surplus reaches b.
 * Liquidation(b1, b2): pay out everything on first entry to the open
   interval (b1, b2), otherwise liquidate at the first decision time.
-  b2 may be math.inf, in which case the strategy acts like Hybrid(0, 0, b1).
+  Below b2 it acts like Hybrid(0, 0, b1), and its value function is that
+  hybrid's there; b2 may be math.inf. Unlike a hybrid it need not net a
+  positive payment (b1 > chi/beta): any b1 > 0 is a Liquidation.
 * PeriodicZero: liquidate fully at the first decision time.
 """
 

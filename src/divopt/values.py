@@ -19,11 +19,13 @@ at discount level gamma + delta, and a small set of coefficients:
   carried as A_hat = A e^{r1 d}, so every exponential it evaluates is at
   most 1. This is the usual treatment of scale functions, whose scaled form
   e^{-Phi(q) x} W^(q)(x) stays bounded (Kuznetsov, Kyprianou & Rivero 2012);
-  g is such a scale function. On [a, b), with u = x - a,
+  g is such a scale function. On [a, b), with u = x - a and E = e^{-r1 d},
 
-    V(x) = A_hat e^{r1 (u - d)} + (B - A) e^{s1 u} + pv (u + mu/(g+d) + V(a))
+    V(x) = A_hat (e^{r1 (u - d)} - E e^{s1 u}) + B e^{s1 u}
+             + pv (u + mu/(g+d) + V(a))
 
-  and both exponential terms are bounded.
+  All exponential terms are bounded, and at u = 0 the A_hat terms cancel
+  exactly, so a = 0 gives V(0) = 0.
 
   The kernel has two stages. Stage 1 (_hybrid_factors) evaluates the
   factors of a alone and those of the gaps (l, y) alone. Stage 2 builds
@@ -39,14 +41,16 @@ at discount level gamma + delta, and a small set of coefficients:
 
 * PeriodicZero: V(x) = -(g mu/(g+d)^2) e^{s1 x} + pv (x + mu/(g+d)).
 
-* Liquidation(b1, b2):
+* Liquidation(b1, b2) is Hybrid(0, 0, b1) below b2:
 
     V(x) = A g(x) + V(x; periodic-zero)                 0 <= x < b1
            beta x - chi                                 b1 <= x < b2
            B e^{s1 (x - b2)} + pv (x + mu/(g+d))        x >= b2 (b2 finite)
 
-  with A fixed by continuity at b1 and B by continuity at b2. The branch
-  beyond b2 is absent when b2 is infinite.
+  The hybrid's B at a = a_c = 0 is -g mu/(g+d)^2, and its A_hat e^{-r1 b1}
+  is A = [alpha b1 - chi - (g mu/(g+d)^2)(1 - e^{s1 b1})] / g(b1)
+  (liquidation_A). B beyond b2, absent when b2 is infinite, is fixed by
+  continuity at b2.
 
 Derivatives are always analytic; at kink points the first derivative is
 one-sided and callers choose the side (left by default, matching how the
@@ -89,19 +93,21 @@ def periodic_zero(params: ModelParams, roots: Roots, x, k: int = 0):
     )
 
 
-def _hybrid_factors(params: ModelParams, roots: Roots, exp):
+def _hybrid_factors(params: ModelParams, roots: Roots, xp):
     """Stage 1 of the hybrid closed form: factors(a, l, y) -> the factors of a
     alone, then those of the gaps alone,
 
-        f(a), f'(a), P, Q,   alpha y - chi, E, e^{-r1 y}, e^{s1 d}, e^{s1 l},
-                             g(d,l) E, J(d,l) E, C's numerator,
+        f(a), f'(a), P, Q,   alpha y - chi, E, e^{-r1 y}, e^{s1 d} - e^{s1 l},
+                             e^{s1 l}, g(d,l) E, J(d,l) E, C's numerator,
 
     with d = l + y, E = e^{-r1 d}, k = delta/(g+d) and
 
         P = f'(a) - s1 k f(a),    Q = (pv/(g+d)) (mu f'(a) - delta f(a)).
 
-    exp is math.exp (floats) or np.exp (arrays, one shape for a and one for
-    the gaps). Every exponential evaluated is at most 1.
+    xp is math (floats) or np (arrays, one shape for a and one for the
+    gaps). Every exponential evaluated is at most 1. Both differences that
+    vanish with y, e^{s1 d} - e^{s1 l} and 1 - e^{-r1 y}, come from expm1,
+    so a small gap y carries no cancellation.
     """
     r0, s0, r1, s1 = roots.r0, roots.s0, roots.r1, roots.s1
     alpha, chi, mu, delta = roots.alpha, params.chi, params.mu, params.delta
@@ -109,22 +115,24 @@ def _hybrid_factors(params: ModelParams, roots: Roots, exp):
     pv = roots.pvfactor
     k, c_curv = delta / gd, pv / gd
     c_gap, c_J = r1 - s1, params.gamma * mu / gd**2
-    scalar, inf = exp is math.exp, math.inf
+    scalar, inf = xp is math, math.inf
 
     def factors(a, l, y):
-        er0a, es0a = exp(r0 * a), exp(s0 * a)
+        er0a, es0a = xp.exp(r0 * a), xp.exp(s0 * a)
         fa, fpa = er0a - es0a, r0 * er0a - s0 * es0a
         lin = alpha * y - chi
         if scalar and y == inf:
             lin = 0.0  # it only meets factors E -> 0 and e^{r1 (u - d)} -> 0
-        es1d, es1l = exp(s1 * (l + y)), exp(s1 * l)
-        ey = exp(-r1 * y)  # e^{r1 l} E
-        E = ey * exp(-r1 * l)
-        gdl = 1.0 - es1d * E - ey + es1l * E
-        Jdl = -s1 * gdl + c_gap * (es1d - es1l) * E
+        es1l = xp.exp(s1 * l)
+        ds1 = es1l * xp.expm1(s1 * y)  # e^{s1 d} - e^{s1 l}
+        gy = -xp.expm1(-r1 * y)  # 1 - e^{-r1 y}
+        ey = 1.0 - gy  # e^{r1 l} E
+        E = ey * xp.exp(-r1 * l)
+        gdl = gy - ds1 * E
+        Jdl = -s1 * gdl + c_gap * ds1 * E
         P, Q = fpa - s1 * k * fa, c_curv * (mu * fpa - delta * fa)
         c_num = c_gap * lin * E + pv * gdl + c_J * Jdl
-        return fa, fpa, P, Q, lin, E, ey, es1d, es1l, gdl, Jdl, c_num
+        return fa, fpa, P, Q, lin, E, ey, ds1, es1l, gdl, Jdl, c_num
 
     return factors
 
@@ -157,17 +165,17 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
     gd = params.gamma + params.delta
     pv = roots.pvfactor
     k, pv_m1 = params.delta / gd, pv * (params.mu / gd)
-    factors = _hybrid_factors(params, roots, math.exp)
+    factors = _hybrid_factors(params, roots, math)
 
     def kernel(a, l, y):
-        fa, fpa, P, Q, lin, E, ey, es1d, es1l, gdl, Jdl, c_num = factors(a, l, y)
+        fa, fpa, P, Q, lin, E, ey, ds1, es1l, gdl, Jdl, c_num = factors(a, l, y)
         den = k * fa * Jdl + fpa * gdl
         C = c_num / den
         B = k * C * fa - pv_m1
-        A_hat = (lin * P + Q * (es1d - es1l)) / den
+        A_hat = (lin * P + Q * ds1) / den
         bt = B - A_hat * E  # B - A
         vp_ac = A_hat * r1 * ey + bt * s1 * es1l + pv
-        vp_b = A_hat * r1 + bt * s1 * es1d + pv
+        vp_b = A_hat * r1 + bt * s1 * (es1l + ds1) + pv
         return C * fpa, vp_ac, vp_b, C, B, A_hat, den, fa, P
 
     return kernel
@@ -194,30 +202,23 @@ def hybrid_value_ac(params: ModelParams, roots: Roots, a, l, y):
     gd = params.gamma + params.delta
     pv = roots.pvfactor
     k = params.delta / gd
-    factors = _hybrid_factors(params, roots, np.exp)
-    fa, fpa, P, Q, lin, E, ey, es1d, es1l, gdl, Jdl, c_num = factors(a, l, y)
+    factors = _hybrid_factors(params, roots, np)
+    fa, fpa, P, Q, lin, E, ey, ds1, es1l, gdl, Jdl, c_num = factors(a, l, y)
     w = ey - es1l * E
-    N = (lin * w, (es1d - es1l) * w, c_num * (k * es1l + pv))
+    N = (lin * w, ds1 * w, c_num * (k * es1l + pv))
     h = pv * (l + params.mu / gd * (1.0 - es1l))
     return (P, Q, fa), N, (fa, fpa), (k * Jdl, gdl), h
-
-
-def _liquidation_numerator(params: ModelParams, roots: Roots, b: float) -> float:
-    """alpha b - chi - (g mu/(g+d)^2)(1 - e^{s1 b}), the numerator of A(b) g(b)."""
-    gm2 = params.gamma * params.mu / (params.gamma + params.delta) ** 2
-    return roots.alpha * b - params.chi - gm2 * (1.0 - math.exp(roots.s1 * b))
 
 
 def liquidation_A(params: ModelParams, roots: Roots, b1: float) -> float:
     """A(b1) = [alpha b1 - chi - (g mu/(g+d)^2)(1 - e^{s1 b1})] / g(b1).
 
-    The division is carried out in exponent-shifted form so large r1 b1
-    underflows to the true near-zero value instead of overflowing.
+    Read as A_hat e^{-r1 b1} from the kernel of Hybrid(0, 0, b1), so large
+    r1 b1 underflows to the true near-zero value instead of overflowing.
     """
     if not b1 > 0.0:
         raise ValueError(f"b1 must be > 0, got {b1}")
-    num = _liquidation_numerator(params, roots, b1)
-    return num * math.exp(-roots.r1 * b1) / (1.0 - math.exp((roots.s1 - roots.r1) * b1))
+    return hybrid_kernel(params, roots)(0.0, 0.0, b1)[5] * math.exp(-roots.r1 * b1)
 
 
 class ValueFunction:
@@ -239,22 +240,23 @@ class ValueFunction:
         r1, s1 = roots.r1, roots.s1
         beta, chi = params.beta, params.chi
 
-        def pz(x, k):
-            return periodic_zero(params, roots, x, k)
-
         # (upper_bound, fn) with fn(x, k) the k-th derivative on the piece;
         # the last upper bound is inf
         pieces = []
 
         if isinstance(strategy, PeriodicZero):
-            pieces.append((math.inf, pz))
+            pieces.append((math.inf, lambda x, k: periodic_zero(params, roots, x, k)))
             self.kinks: tuple[float, ...] = ()
 
-        elif isinstance(strategy, (Hybrid, PeriodicBarrier)):
+        elif isinstance(strategy, (Hybrid, PeriodicBarrier, Liquidation)):
+            # Liquidation(b1, b2) is Hybrid(0, 0, b1) below b2
+            b2 = math.inf
             if isinstance(strategy, Hybrid):
                 a, a_c, b = strategy.a_p, strategy.a_c, strategy.b
-            else:
+            elif isinstance(strategy, PeriodicBarrier):
                 a, a_c, b = strategy.b, strategy.b, math.inf
+            else:
+                a, a_c, b, b2 = 0.0, 0.0, strategy.b1, strategy.b2
             if not nets_positive(strategy, chi, beta):
                 raise ValueError(f"need b > a_c + chi/beta = {a_c + chi / beta}, got b={b}")
             if roots.r0 * a > _LOG_DBL_MAX:
@@ -270,14 +272,16 @@ class ValueFunction:
                 raise DegenerateDenominatorError(
                     f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
                 )
-            d = b - a
-            bt = B - A_hat * math.exp(-r1 * d)  # B - A
+            # E through np.exp, as mid's e^{r1 (x - b)}: at x = a the A_hat
+            # terms cancel exactly, so V(0) = 0 when a = 0
+            E = np.exp(r1 * (a - b))
             c0 = pv * (m1 + C * fa - a)  # V(a) = C f(a)
 
             def mid(x, k):
-                v = bt * s1**k * np.exp(s1 * (x - a)) + _affine(x, k, pv, c0)
-                if d < math.inf:  # at b = inf the r1 term is 0 everywhere
-                    v += A_hat * r1**k * np.exp(r1 * (x - b))
+                es1u = s1**k * np.exp(s1 * (x - a))
+                v = B * es1u + _affine(x, k, pv, c0)
+                if b < math.inf:  # at b = inf the A_hat terms are 0 everywhere
+                    v += A_hat * (r1**k * np.exp(r1 * (x - b)) - E * es1u)
                 return v
 
             if a > 0.0:
@@ -285,31 +289,11 @@ class ValueFunction:
             pieces.append((b, mid))
             if math.isfinite(b):
                 v_ac = float(mid(np.float64(a_c), 0))
-                pieces.append(
-                    (math.inf, lambda x, k: _affine(x, k, beta, v_ac - beta * a_c - chi))
-                )
+                pieces.append((b2, lambda x, k: _affine(x, k, beta, v_ac - beta * a_c - chi)))
                 self.kinks = (b,)
             else:
                 self.kinks = (a,) if a > 0.0 else ()
-
-        elif isinstance(strategy, Liquidation):
-            b1, b2 = strategy.b1, strategy.b2
-            # A g(x) evaluated in ratio form A g(x) = num g(x)/g(b1): the
-            # numerator is O(1) and the ratio stays bounded on [0, b1]
-            # even when g(b1) itself would overflow
-            num = _liquidation_numerator(params, roots, b1)
-            ratio = num / (1.0 - math.exp((s1 - r1) * b1))  # num e^{r1 b1}/g(b1)
-
-            def lower(x, k):
-                return ratio * (
-                    r1**k * np.exp(r1 * (x - b1)) - s1**k * np.exp(s1 * x - r1 * b1)
-                ) + pz(x, k)
-
-            pieces.append((b1, lower))
-            pieces.append((b2, lambda x, k: _affine(x, k, beta, -chi)))
-            if math.isinf(b2):
-                self.kinks = (b1,)
-            else:
+            if b2 < math.inf:
                 b2c = beta * b2 - chi - pv * (b2 + m1)
                 pieces.append(
                     (
@@ -318,7 +302,7 @@ class ValueFunction:
                         + _affine(x, k, pv, pv * m1),
                     )
                 )
-                self.kinks = (b1, b2)
+                self.kinks = (b, b2)
 
         else:
             raise TypeError(f"unknown strategy type: {strategy!r}")

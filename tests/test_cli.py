@@ -104,7 +104,8 @@ class TestSweepCommand:
                                       "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()[1:]
-        assert any(row.split(",")[-1] != "" for row in lines)  # error column used
+        # the error column names the exception type: beta < 0 is a ConfigError
+        assert any(row.split(",")[-1].startswith("ConfigError: ") for row in lines)
         assert any(row.split(",")[1] == "profitable_periodic" for row in lines)
 
 

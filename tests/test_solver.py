@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ from divopt import (
 
 def mk(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15):
     return ModelParams(mu=mu, sigma=sigma, chi=chi, beta=beta, gamma=gamma, delta=delta)
+
+
+def finite_window_draws(seeds):
+    """One criterion-1 box draw (mu < 0) per seed in the finite liquidation regime."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        while True:
+            p = mk(mu=rng.uniform(-2.0, -0.05), sigma=rng.uniform(0.1, 2.0),
+                   chi=rng.uniform(0.0, 0.4), beta=rng.uniform(0.05, 1.0),
+                   gamma=rng.uniform(0.2, 3.0), delta=rng.uniform(0.02, 0.8))
+            if classify_regime(p, solve_roots(p)) is Regime.UNPROFITABLE_LIQUIDATION_FINITE:
+                out.append(p)
+                break
+    return out
 
 
 class TestClassify:
@@ -209,12 +225,17 @@ class TestUnprofitableSolve:
         assert st.b1 == pytest.approx(0.3162355542055, rel=1e-6)
         assert st.b2 == pytest.approx(2.6622431975813, rel=1e-6)
 
-    def test_ordering_chain(self, neg_params, neg_roots):
-        rep = solve(neg_params)
-        st = rep.strategy
-        c = c_beta_chi(neg_params, neg_roots)
-        ab = a_beta(neg_params, neg_roots)
-        assert 0 < c < st.b1 < ab < st.b2 < math.inf
+    def test_ordering_chain(self, neg_params):
+        # b1's bracket runs from chi/beta to b2, with no bracket from c or
+        # a_beta. In the narrow window (1.556, 1.645) V'(b-) - beta is
+        # positive on too short an interval for a geometric bracket to meet.
+        narrow = ModelParams(-1.8529368889501905, 0.38214871744125567, 0.3466203784299663,
+                             0.5313600257729486, 0.978599794517444, 0.2312938427125559)
+        for p in [neg_params, narrow] + finite_window_draws(range(12)):
+            r = solve_roots(p)
+            st = solve(p).strategy
+            c, ab = c_beta_chi(p, r), a_beta(p, r)
+            assert 0 < c < st.b1 < ab < st.b2 < math.inf, p
 
     def test_b2_linear_equation_is_exact(self, neg_params, neg_roots):
         st = solve(neg_params).strategy
@@ -251,11 +272,19 @@ class TestUnprofitableSolve:
 
     def test_zero_fixed_cost_liquidation_is_out_of_range(self):
         # b1 falls toward 0 with chi (about as its square root): at chi = 0
-        # the optimum pays everything now, which no Liquidation(b1 > 0, .) is
+        # the optimum pays everything now, which no Liquidation(b1 > 0, .) is.
+        # Down the ladder each solve stays fast and inside its gate.
         for beta, regime in ((0.95, Regime.UNPROFITABLE_LIQUIDATION_HALF),
                              (0.7, Regime.UNPROFITABLE_LIQUIDATION_FINITE)):
-            b1 = [solve(mk(mu=-1.0, chi=chi, beta=beta)).strategy.b1 for chi in (1e-2, 1e-4, 1e-6)]
-            assert b1[0] > b1[1] > b1[2] > 0.0 and b1[2] < 1e-3
+            b1 = []
+            for chi in 10.0 ** -np.arange(2.0, 17.0, 2.0):
+                t0 = time.perf_counter()
+                rep = solve(mk(mu=-1.0, chi=chi, beta=beta))
+                assert time.perf_counter() - t0 < 1.0, chi
+                assert rep.regime is regime
+                assert max(rep.residuals.values()) < 1e-10, (chi, rep.residuals)
+                b1.append(rep.strategy.b1)
+            assert all(hi > lo > 0.0 for hi, lo in zip(b1, b1[1:])) and b1[2] < 1e-3
             p = mk(mu=-1.0, chi=0.0, beta=beta)
             assert classify_regime(p, solve_roots(p)) is regime
             with pytest.raises(OutOfRangeError, match="b1 -> 0"):
@@ -306,6 +335,17 @@ class TestSolveReports:
         ]
         for p, cls in cases:
             assert isinstance(solve(p).strategy, cls)
+
+    def test_tiny_fixed_cost_hybrid_solves(self):
+        # b - a_c falls about as sqrt(chi), below any fixed floor for the
+        # upper-gap bracket; it starts from chi/beta instead
+        for p in (mk(), mk(mu=0.05, sigma=3.0, beta=0.95)):
+            gaps = []
+            for chi in (1e-14, 1e-16, 1e-20):
+                rep = solve(replace(p, chi=chi))
+                assert max(rep.residuals.values()) < 1e-10, (chi, rep.residuals)
+                gaps.append(rep.strategy.b - rep.strategy.a_c)
+            assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
 class TestThresholdApproach:

@@ -309,6 +309,23 @@ class TestLiquidationPieces:
         for bp in (st.b1, st.b2):
             assert vf(bp - 1e-10) == pytest.approx(vf(bp + 1e-10), abs=1e-8)
 
+    @pytest.mark.parametrize("beta", [0.7, 0.95])  # finite window, half-line
+    def test_liquidation_is_hybrid_000_below_b2(self, beta):
+        p = ModelParams(mu=-1.0, sigma=0.3, chi=0.15, beta=beta, gamma=1.0, delta=0.15)
+        r = solve_roots(p)
+        st = solve(p).strategy
+        b2 = st.b2 if math.isfinite(st.b2) else 4.0 * st.b1
+        xs = np.append(np.linspace(0.0, b2, 400, endpoint=False), st.b1)
+        liq = ValueFunction(p, r, st)
+        hy = ValueFunction(p, r, Hybrid(0.0, 0.0, st.b1))
+        for k in ("__call__", "d1", "d2"):
+            assert np.array_equal(getattr(liq, k)(xs), getattr(hy, k)(xs)), k
+        # below b1 this is the closed form A g(x) + V(x; periodic-zero)
+        low = xs[xs < st.b1]
+        g = np.exp(r.r1 * low) - np.exp(r.s1 * low)
+        ref = liquidation_A(p, r, st.b1) * g + ValueFunction(p, r, PeriodicZero())(low)
+        assert np.allclose(liq(low), ref, rtol=1e-12, atol=1e-14)
+
     def test_half_line_variant_drops_upper_branch(self, neg_params, neg_roots):
         vf = ValueFunction(neg_params, neg_roots, Liquidation(0.4, math.inf))
         xs = np.array([0.5, 2.0, 10.0, 50.0])
