@@ -12,18 +12,17 @@ how the retained proportion beta compares with pvfactor = gamma/(gamma+delta)
                              (b1, b2) beats waiting
 
 Hybrid barriers solve the smooth-fit system V'(a_p) = 1, V'(a_c) = beta,
-V'(b-) = beta (with boundary variants a_p = 0 / a_p = a_c = 0). The solver
-nests three levels, each solving exactly one condition for one unknown:
-
-    1. y = b - a_c, for fixed (a, l): V'(b-) = beta (_upper_gap);
-    2. a = a_p in [0, a_bar], for fixed l: V'(a) = 1, or the boundary
-       a = a_bar (V'(a_bar) >= 1) or a = 0 (V'(0) <= 1);
-    3. l = a_c - a_p: an outer expansion enforces V'(a_c) = beta, or
-       accepts l = 0.
+V'(b-) = beta. For a lower barrier a = a_p and gap l = a_c - a_p, a
+bracketed search gives the upper gap y = b - a_c with V'(b-) = beta
+(_upper_gap). Around it, the two lower conditions are a system in (a, l),
+solved in one of four ways, tried in this order and each accepted by a
+sign: a = l = 0 (V'(0) <= beta); a = 0 with a bracketed search for l
+(V'(0) <= 1); l = 0 with a bracketed search for a, at beta = 1 only; and
+otherwise a damped Newton in (a_c, log l).
 
 For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
-is Hybrid(0, 0, b1) below b2, so b1 is level 1's search at a = l = 0, for
-the finite window and the half-line alike; a finite b2 solves
+is Hybrid(0, 0, b1) below b2, so b1 is the upper-gap search at a = l = 0,
+for the finite window and the half-line alike; a finite b2 solves
 V'(b2+) = beta, which is linear in b2.
 """
 
@@ -53,12 +52,33 @@ class Regime(enum.Enum):
 
 @dataclass
 class SolveReport:
+    """A solved strategy, its smooth-fit residuals and how the solve went.
+
+    diagnostics has fixed keys: path, the route taken (hybrid: ap_ac_zero,
+    ap_zero, ac_equals_ap or interior; liquidation: window or half_line;
+    periodic: b0_zero or q_target; periodic-zero: closed_form);
+    n_kernel_evals, the hybrid-kernel calls; and n_iters, the evaluations
+    of the outermost equations (upper-gap searches for a hybrid, V'(b1-) =
+    beta for a liquidation, the Q equation for a periodic barrier).
+    """
+
     regime: Regime
     strategy: Strategy
     residuals: dict[str, float]
     boundary: dict[str, bool]
     tol: float
     diagnostics: dict[str, Any] = field(default_factory=dict)
+
+
+def _counted(fn):
+    """fn, counting its calls in the attribute n."""
+
+    def wrapped(*args):
+        wrapped.n += 1
+        return fn(*args)
+
+    wrapped.n = 0
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +254,33 @@ def periodic_b0(params: ModelParams, roots: Roots) -> float:
     Zero when (-s1/r1) pv <= 1; otherwise the unique level in [0, a_bar]
     where Q hits the target q* = s1 (delta/(gamma+delta)) / (r1 + s1).
     """
+    return _periodic_b0(params, roots)[0]
+
+
+def _periodic_b0(params: ModelParams, roots: Roots) -> tuple[float, int]:
+    """periodic_b0 and the number of evaluations of Q it took."""
     pv = roots.pvfactor
     if (-roots.s1 / roots.r1) * pv <= 1.0:
-        return 0.0
+        return 0.0, 0
     gd = params.gamma + params.delta
     q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
-    return bisect_secant(lambda a: Q(params, roots, a) - q_star, 0.0, roots.a_bar)
+    q_gap = _counted(lambda a: Q(params, roots, a) - q_star)
+    return bisect_secant(q_gap, 0.0, roots.a_bar), q_gap.n
 
 
 # ---------------------------------------------------------------------------
 # hybrid solve
+
+# relative steps of the forward differences in the hybrid Newton's Jacobian:
+# in a and log l, and in y, whose derivatives of V'(b-) vanish with y
+_FD_STEP = 1e-7
+_FD_STEP_Y = 1e-4
+_MAX_NEWTON = 60  # Newton steps, each with at most _MAX_HALVINGS backtracks
+_MAX_HALVINGS = 40
+_MAX_LOG_STEP = 2.0  # largest Newton step in log l
+_STEP_TOL = 1e-13  # Newton step, relative, below which the barriers have converged
+_F_FLOOR = 1e-15  # max |F| at the rounding of its O(1) terms
+_Y_JUMP = 16.0  # largest factor by which one Newton step may move the upper gap
 
 
 def _upper_gap(
@@ -264,48 +301,136 @@ def _upper_gap(
 
 
 def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> SolveReport:
-    """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta)."""
+    """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta).
+
+    Every candidate (a, l), with l = a_c - a, gets its upper gap y*(a, l)
+    from the bracketed search on V'(b-) = beta (_upper_gap). What remains
+    is F(a, l) = (V'(a) - 1, V'(a + l) - beta) = 0, whose cases are tried
+    in turn; diagnostics["path"] names the one taken:
+
+    * ap_ac_zero: a = l = 0, accepted when V'(0) <= beta there;
+    * ap_zero: a = 0, l from a bracketed search on V'(l) = beta, accepted
+      when V'(0) <= 1 there;
+    * ac_equals_ap: at beta = 1 only, where V'(a_p) = V'(a_c) = 1: l = 0,
+      a from a bracketed search on V'(a) = 1 in [0, a_bar];
+    * interior: a damped Newton in (a_c, log l), with a = a_c - l, started
+      at a = a_bar / 2 with ap_zero's l. A step is scaled to move log l by
+      at most 2 and a, to first order, at most halfway to an end of
+      [0, a_bar], then halved until it makes progress: a lower max |F|, or
+      a shorter Newton correction under the same Jacobian. The Jacobian's
+      rows are V'(a) - 1 and (V'(a_c) - V'(b-)) / y, which on V'(b-) = beta
+      vanishes with F's second component but, unlike it, keeps its scale
+      as y falls with chi. Its columns are forward differences at fixed y,
+      each step relative to its variable, plus the implicit term in
+      dy = -d V'(b-) / (d V'(b-) / dy), so no derivative differences the y
+      search's tolerance. A trial whose y moves by a factor of 16 or more
+      has left its root of V'(b-) = beta for another and is halved too.
+
+    The interior's a never reaches a_bar, where the V'(a) = 1 condition
+    would be unmet; a Newton that stops with max |F| >= tol raises
+    DivoptError.
+    """
     if params.beta <= roots.pvfactor:
         raise OutOfRangeError("hybrid solve requires beta > gamma/(gamma+delta)")
     beta = params.beta
     abar = roots.a_bar
     len_s = 1.0 / abs(roots.s1)
-    kernel = hybrid_kernel(params, roots)
+    kernel = _counted(hybrid_kernel(params, roots))
 
-    def inner(l: float) -> tuple[float, float]:
-        # (a, y) with V'(a) = 1 at the upper gap y of (a, l); V'(a) - 1 falls in
-        # a, so a = a_bar when it is still >= 0 there and a = 0 when <= 0 at 0
-        slope_gap = lambda a: kernel(a, l, _upper_gap(params, roots, kernel, a, l))[0] - 1.0
-        gap_hi = slope_gap(abar)
-        if gap_hi >= 0.0:
-            a = abar
-        else:
-            gap_lo = slope_gap(0.0)
-            a = 0.0 if gap_lo <= 0.0 else bisect_secant(slope_gap, 0.0, abar, gap_lo, gap_hi)
-        return a, _upper_gap(params, roots, kernel, a, l)
+    @_counted
+    def at(a: float, l: float):
+        y = _upper_gap(params, roots, kernel, a, l)
+        return y, kernel(a, l, y)
 
-    def middle_gap(l: float) -> tuple[float, float, float]:
-        a, y = inner(l)
-        return kernel(a, l, y)[1] - beta, a, y
+    def report(path: str, a: float, l: float, y: float) -> SolveReport:
+        diagnostics = {"path": path, "n_kernel_evals": kernel.n, "n_iters": at.n}
+        return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y),
+                       tol, diagnostics)
 
-    gap0, a0, y0 = middle_gap(0.0)
-    if gap0 <= 0.0:
-        a, l, y = a0, 0.0, y0
-    else:
-        l_prev, gap_prev = 0.0, gap0
-        l_cur = 0.25 * len_s
-        for _ in range(200):
-            gap_cur, _, _ = middle_gap(l_cur)
-            if gap_prev * gap_cur <= 0.0:
-                break
-            l_prev, gap_prev = l_cur, gap_cur
-            l_cur *= 1.7
-        else:
-            raise NoBracketError("V'(a_c) = beta: no sign change while expanding l")
-        l = bisect_secant(lambda ll: middle_gap(ll)[0], l_prev, l_cur, gap_prev, gap_cur)
-        a, y = inner(l)
+    y, k = at(0.0, 0.0)
+    vp0 = k[0]
+    if vp0 <= beta:
+        return report("ap_ac_zero", 0.0, 0.0, y)
 
-    return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y), tol)
+    if beta == 1.0:
+        # V'(a_p) = V'(a_c) = 1, so a_c = a_p; V'(a) - 1 falls in a
+        slope_gap = lambda a: at(a, 0.0)[1][0] - 1.0
+        a = bisect_secant(slope_gap, 0.0, abar, vp0 - 1.0)
+        y, _ = at(a, 0.0)
+        return report("ac_equals_ap", a, 0.0, y)
+
+    # at a = 0, V'(a_c) - beta is positive at l = 0 and falls to pv - beta < 0
+    ac_gap = lambda l: at(0.0, l)[1][1] - beta
+    l0 = 0.25 * len_s
+    g0 = ac_gap(l0)
+    bracket = (0.0, l0, vp0 - beta, g0) if g0 <= 0.0 else bracket_geometric(ac_gap, l0)
+    l = bisect_secant(ac_gap, *bracket)
+    y, k = at(0.0, l)
+    if k[0] <= 1.0:
+        return report("ap_zero", 0.0, l, y)
+
+    def newton(a: float, l: float, y: float, k):
+        # Jacobian of the rows in (a_c, log l), y following V'(b-) = beta (see
+        # above); returns the map from row values to Newton's (d a_c, d log l),
+        # or None where the Jacobian is singular
+        hc, ht, hy = _FD_STEP * (a + l + len_s), _FD_STEP, _FD_STEP_Y * y
+        r0 = rows(k, y)
+        d_y = [(v - w) / hy for v, w in zip(rows(kernel(a, l, y + hy), y + hy), r0)]
+        lt = l * math.exp(ht)
+        cols = []
+        for kx, h in ((kernel(a + hc, l, y), hc), (kernel(a + l - lt, lt, y), ht)):
+            d_x = [(v - w) / h for v, w in zip(rows(kx, y), r0)]
+            y_x = -d_x[2] / d_y[2] if d_y[2] != 0.0 else 0.0  # 0: below rounding
+            cols.append((d_x[0] + d_y[0] * y_x, d_x[1] + d_y[1] * y_x))
+        (j00, j10), (j01, j11) = cols
+        det = j00 * j11 - j01 * j10
+        if not (det != 0.0 and math.isfinite(det)):
+            return None
+        return lambda g0, g1: ((g1 * j01 - g0 * j11) / det, (g0 * j10 - g1 * j00) / det)
+
+    rows = lambda k, y: (k[0] - 1.0, k[9] / y, k[2])  # V'(a) - 1, G, V'(b-)
+    residual = lambda k: max(abs(k[0] - 1.0), abs(k[1] - beta))  # max |F|
+    a = 0.5 * abar
+    y, k = at(a, l)
+    err = residual(k)
+    for _ in range(_MAX_NEWTON):
+        step = newton(a, l, y, k) if err > _F_FLOOR else None
+        if step is None:
+            break
+        dc, dt = step(*rows(k, y)[:2])
+        scale = a + l + len_s
+        size = max(abs(dc) / scale, abs(dt))
+        if size <= _STEP_TOL:
+            break  # below rounding of the barriers: converged
+        # one factor scales the whole step, keeping Newton's direction: it caps
+        # the step in log l and stops a, to first order, halfway to an end of
+        # [0, a_bar]; halving brings any trial a back inside
+        s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
+        da = dc - l * dt
+        if not 0.0 <= a + s * da <= abar:
+            s = 0.5 * ((abar - a) if da > 0.0 else -a) / da
+        progress = False
+        for _ in range(_MAX_HALVINGS):
+            l1 = l * math.exp(s * dt)
+            a1 = a + l + s * dc - l1
+            if 0.0 <= a1 <= abar:
+                y1, k1 = at(a1, l1)
+                err1 = residual(k1)
+                # accept a lower max |F|, or a shorter Newton correction under
+                # the same Jacobian (the rows' scales differ by orders as y falls)
+                dc1, dt1 = step(*rows(k1, y1)[:2])
+                shorter = max(abs(dc1) / scale, abs(dt1)) < size
+                # a y that jumps has left its root of V'(b-) = beta for another one
+                progress = (err1 < err or shorter) and y / _Y_JUMP < y1 < _Y_JUMP * y
+                if progress or err < tol:
+                    break
+            s *= 0.5
+        if not progress:
+            break  # no step makes progress: rounding inside the gate, else a stall
+        a, l, y, k, err = a1, l1, y1, k1, err1
+    if not err < tol:
+        raise DivoptError(f"hybrid Newton stopped at max |F| = {err:.3g} >= tol={tol}")
+    return report("interior", a, l, y)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +450,8 @@ def solve_unprofitable(
         raise OutOfRangeError("solve_unprofitable requires mu < 0")
     regime = classify_regime(params, roots)
     if regime is Regime.UNPROFITABLE_PERIODIC_ZERO:
-        return _report(regime, params, roots, PeriodicZero(), tol)
+        diagnostics = {"path": "closed_form", "n_kernel_evals": 0, "n_iters": 0}
+        return _report(regime, params, roots, PeriodicZero(), tol, diagnostics)
     if params.chi == 0.0:
         raise OutOfRangeError(
             "at chi = 0 the optimal b1 -> 0 (pay everything now), which "
@@ -336,8 +462,14 @@ def solve_unprofitable(
         s1 = roots.s1
         gm2 = params.gamma * params.mu / (params.gamma + params.delta) ** 2
         b2 = (params.chi * s1 + s1 * gm2 - (roots.pvfactor - params.beta)) / (s1 * roots.alpha)
-    b1 = _upper_gap(params, roots, hybrid_kernel(params, roots), 0.0, 0.0, b2)
-    return _report(regime, params, roots, Liquidation(b1, b2), tol)
+    kernel = _counted(hybrid_kernel(params, roots))
+    b1 = _upper_gap(params, roots, kernel, 0.0, 0.0, b2)
+    diagnostics = {
+        "path": "half_line" if b2 == math.inf else "window",
+        "n_kernel_evals": kernel.n,
+        "n_iters": kernel.n,
+    }
+    return _report(regime, params, roots, Liquidation(b1, b2), tol, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +477,12 @@ def solve_unprofitable(
 
 
 def _report(
-    regime: Regime, params: ModelParams, roots: Roots, strategy: Strategy, tol: float
+    regime: Regime,
+    params: ModelParams,
+    roots: Roots,
+    strategy: Strategy,
+    tol: float,
+    diagnostics: dict[str, Any],
 ) -> SolveReport:
     """The solved strategy's smooth-fit residuals and boundary flags, gated at tol."""
     beta = params.beta
@@ -362,7 +499,7 @@ def _report(
         a, a_c = strategy.a_p, strategy.a_c
         residuals["vprime_b"] = abs(float(vf.d1(strategy.b, side="left")) - beta)
         boundary = {"ap_zero": a == 0.0, "ac_equals_ap": a_c == a}
-        if a_c > a:
+        if a_c > 0.0:
             residuals["vprime_ac"] = abs(float(vf.d1(a_c)) - beta)
         else:
             residuals["vprime_ac"] = max(0.0, float(vf.d1(0.0)) - beta)
@@ -378,7 +515,7 @@ def _report(
     bad = {k: v for k, v in residuals.items() if not v < tol}
     if bad:
         raise DivoptError(f"solver residuals exceed tol={tol}: {bad}")
-    return SolveReport(regime, strategy, residuals, boundary, tol)
+    return SolveReport(regime, strategy, residuals, boundary, tol, diagnostics)
 
 
 def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
@@ -394,7 +531,13 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     roots = solve_roots(params)
     regime = classify_regime(params, roots)
     if regime is Regime.PROFITABLE_PERIODIC:
-        return _report(regime, params, roots, PeriodicBarrier(periodic_b0(params, roots)), tol)
+        b0, n_iters = _periodic_b0(params, roots)
+        diagnostics = {
+            "path": "q_target" if b0 > 0.0 else "b0_zero",
+            "n_kernel_evals": 0,
+            "n_iters": n_iters,
+        }
+        return _report(regime, params, roots, PeriodicBarrier(b0), tol, diagnostics)
     if regime is Regime.PROFITABLE_HYBRID:
         return solve_hybrid(params, roots, tol)
     return solve_unprofitable(params, roots, tol)

@@ -141,10 +141,11 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
     """The hybrid closed form of one parameter set, as a function of (a, l, y).
 
     kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
-    all floats, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den, f(a), P): V'
-    at a, a_c and b-, the coefficients with A_hat = A e^{r1 d} (d = l + y),
-    the shifted denominator, and stage 1's f(a) and P (den's limit as d
-    grows). It is stage 2 over _hybrid_factors' stage 1: with
+    all floats, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den, f(a), P,
+    vp_gap): V' at a, a_c and b-, the coefficients with A_hat = A e^{r1 d}
+    (d = l + y), the shifted denominator, stage 1's f(a) and P (den's limit
+    as d grows), and vp_gap = vp_ac - vp_b, formed from the gap factors so
+    that it keeps its relative precision as y -> 0. It is stage 2 over _hybrid_factors' stage 1: with
     E = e^{-r1 d}, g(d,l) = g(d) - g(l) and J(d,l) = J(d) - J(l),
 
         den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
@@ -176,7 +177,8 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
         bt = B - A_hat * E  # B - A
         vp_ac = A_hat * r1 * ey + bt * s1 * es1l + pv
         vp_b = A_hat * r1 + bt * s1 * (es1l + ds1) + pv
-        return C * fpa, vp_ac, vp_b, C, B, A_hat, den, fa, P
+        vp_gap = -(A_hat * r1 * (gdl + ds1 * E) + bt * s1 * ds1)  # vp_ac - vp_b
+        return C * fpa, vp_ac, vp_b, C, B, A_hat, den, fa, P, vp_gap
 
     return kernel
 
@@ -261,7 +263,7 @@ class ValueFunction:
                 raise ValueError(f"need b > a_c + chi/beta = {a_c + chi / beta}, got b={b}")
             if roots.r0 * a > _LOG_DBL_MAX:
                 raise OutOfRangeError(f"f(a) overflows at lower barrier a={a}: r0 a > log(DBL_MAX)")
-            *_, C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)
+            C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)[3:9]
             # P (below) bounds den and f'(a); it overflows before f(a) does
             # once r0 - s1 delta/(g+d) > 1
             if not math.isfinite(P):

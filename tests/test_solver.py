@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from divopt import (
     Hybrid,
@@ -19,6 +21,7 @@ from divopt import (
     a_beta,
     beta0,
     c_beta_chi,
+    check_hjb,
     classify_regime,
     cost_ratio_limit,
     liquidation_A,
@@ -33,6 +36,9 @@ from divopt import (
 
 def mk(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15):
     return ModelParams(mu=mu, sigma=sigma, chi=chi, beta=beta, gamma=gamma, delta=delta)
+
+
+HYBRID_PATHS = {"ap_ac_zero", "ap_zero", "ac_equals_ap", "interior"}
 
 
 def finite_window_draws(seeds):
@@ -206,6 +212,18 @@ class TestHybridSolve:
         assert st_k.a_c == pytest.approx(k * st.a_c, rel=1e-8)
         assert st_k.b == pytest.approx(k * st.b, rel=1e-8)
 
+    def test_beta_one_optimum_is_reported(self, pos_params):
+        # at beta = 1 an immediate payment costs only chi, so a_c = a_p > 0 with
+        # V' = 1 at all three levels; the a_c residual is |V'(a_c) - beta| there
+        p = replace(pos_params, beta=1.0)
+        rep = solve(p)
+        st = rep.strategy
+        assert st.a_c == st.a_p == pytest.approx(0.3488605470923, rel=1e-9)
+        assert rep.diagnostics["path"] == "ac_equals_ap"
+        assert not rep.boundary["ap_zero"] and rep.boundary["ac_equals_ap"]
+        assert max(rep.residuals.values()) < 1e-10, rep.residuals
+        assert check_hjb(p, solve_roots(p), st).passed
+
     def test_boundary_case_high_riskiness(self):
         # both hint thresholds met: solver lands on a_p = a_c = 0
         p = mk(mu=0.05, sigma=3.0, beta=0.95)
@@ -348,6 +366,46 @@ class TestSolveReports:
             assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
+class TestDiagnostics:
+    def test_schema_in_every_regime(self):
+        cases = [
+            (mk(beta=0.5), {"q_target"}, False),
+            (mk(mu=0.1, sigma=2.0, beta=0.5), {"b0_zero"}, False),
+            (mk(), HYBRID_PATHS, True),
+            (mk(mu=-1.0, chi=0.15, beta=0.7), {"window"}, True),
+            (mk(mu=-1.0, chi=0.15, beta=0.95), {"half_line"}, True),
+            (mk(mu=-1.0, chi=0.9, beta=0.7), {"closed_form"}, False),
+        ]
+        for p, paths, uses_kernel in cases:
+            d = solve(p).diagnostics
+            assert set(d) == {"path", "n_kernel_evals", "n_iters"}, p
+            assert d["path"] in paths, (p, d)
+            assert all(type(d[k]) is int and d[k] >= 0 for k in ("n_kernel_evals", "n_iters"))
+            assert (d["n_kernel_evals"] > 0) == uses_kernel, (p, d)
+
+    @pytest.mark.parametrize(
+        "p, path",
+        [
+            (mk(mu=0.05, sigma=3.0, beta=0.95), "ap_ac_zero"),
+            (mk(mu=0.1, sigma=1.0), "ap_zero"),
+            (mk(beta=1.0), "ac_equals_ap"),
+            (mk(), "interior"),
+        ],
+    )
+    def test_known_point_reaches_each_hybrid_path(self, p, path):
+        rep = solve(p)
+        assert rep.diagnostics["path"] == path
+        st = rep.strategy
+        assert (st.a_p == 0.0) == (path in ("ap_ac_zero", "ap_zero"))
+        assert (st.a_c == st.a_p) == (path in ("ap_ac_zero", "ac_equals_ap"))
+
+    def test_reference_hybrid_kernel_calls_are_bounded(self, pos_params):
+        # a bound, not a pinned count: counts move with ulp-level arithmetic
+        d = solve(pos_params).diagnostics
+        assert 0 < d["n_kernel_evals"] <= 2000, d
+        assert 0 < d["n_iters"] < d["n_kernel_evals"]
+
+
 class TestThresholdApproach:
     def test_upper_barriers_diverge_toward_the_threshold(self):
         # as beta falls toward gamma/(gamma+delta), a_c and b grow without
@@ -432,3 +490,45 @@ class TestFuzz:
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
         # the draws reach every regime and both typed errors
         assert len(outcomes) == 7, outcomes
+
+    def test_widened_criterion_2_hybrids_solve_fast_and_verified(self):
+        # criterion 2's hybrid distribution with beta over all of (pv, 1],
+        # beta = 1 itself, and chi down to 1e-16: every solve is inside its
+        # gate, passes check_hjb and is fast, and the solves reach every path.
+        # The explicit examples pin the rare low-drift, high-volatility corner
+        # where a_p = 0
+        paths = set()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+        @example(mu=0.02, sigma=1.5, chi=0.01, gamma=1.0, delta=0.15, u=0.6)
+        @example(mu=0.1, sigma=1.5, chi=1e-12, gamma=1.0, delta=0.15, u=0.25)
+        @given(
+            mu=hs.floats(0.02, 2.5),
+            sigma=hs.floats(0.1, 1.5),
+            chi=hs.one_of(hs.floats(1e-4, 0.15), hs.floats(-16.0, -4.0).map(lambda e: 10.0**e)),
+            gamma=hs.floats(0.3, 2.5),
+            delta=hs.floats(0.03, 0.4),
+            u=hs.one_of(hs.just(1.0), hs.floats(0.0, 1.0, exclude_min=True)),
+        )
+        def one(mu, sigma, chi, gamma, delta, u):
+            pv = gamma / (gamma + delta)
+            beta = 1.0 if u == 1.0 else pv + u * (1.0 - pv)
+            if not beta > pv:
+                return  # u below the spacing of floats at pv
+            p = ModelParams(mu=mu, sigma=sigma, chi=chi, beta=beta, gamma=gamma, delta=delta)
+            # the faster of up to two runs, so a scheduler pause is not solver time
+            elapsed = math.inf
+            for _ in range(2):
+                t0 = time.perf_counter()
+                rep = solve(p)
+                elapsed = min(elapsed, time.perf_counter() - t0)
+                if elapsed < 0.1:
+                    break
+            assert elapsed < 0.1, (p, elapsed)
+            assert rep.regime is Regime.PROFITABLE_HYBRID
+            assert max(rep.residuals.values()) < 1e-10, (p, rep.residuals)
+            assert check_hjb(p, solve_roots(p), rep.strategy).passed, p
+            paths.add(rep.diagnostics["path"])
+
+        one()
+        assert paths == HYBRID_PATHS

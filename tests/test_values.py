@@ -135,6 +135,8 @@ class TestHybridKernel:
         assert vp_a == pytest.approx(float(vf.d1(st.a_p)), rel=1e-12)
         assert vp_ac == pytest.approx(float(vf.d1(st.a_c)), rel=1e-12)
         assert vp_b == pytest.approx(float(vf.d1(st.b, side="left")), rel=1e-12)
+        vp_gap = hybrid_kernel(pos_params, pos_roots)(a, l, y)[9]
+        assert vp_gap == pytest.approx(vp_ac - vp_b, rel=1e-9, abs=1e-14)
         obj = float(hybrid_objective(pos_params, pos_roots, a, l, y))
         ref = float(vf(st.a_c)) - pos_params.beta * st.a_c
         assert obj == pytest.approx(ref, rel=1e-12, abs=1e-12)
