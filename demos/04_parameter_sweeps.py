@@ -9,7 +9,7 @@ the liquidation window collapses to a point at the lower regime boundary.
 
 import numpy as np
 
-from divopt import Hybrid, Liquidation, ModelParams, PeriodicBarrier, solve
+from divopt import Liquidation, ModelParams, PeriodicBarrier, solve
 
 print("fixed-cost sweep (mu=1, sigma=0.3, beta=0.9, gamma=1, delta=0.15)")
 print("   chi      a_p      a_c        b")
@@ -23,7 +23,7 @@ for beta in (0.82, 0.86, 0.875, 0.90, 0.95, 0.99):
     rep = solve(ModelParams(1.0, 0.3, 0.01, beta, 1.0, 0.15))
     st = rep.strategy
     if isinstance(st, PeriodicBarrier):
-        desc = f"b0 = {st.b:.4f}"
+        desc = f"b0 = {st.a_p:.4f}"
     else:
         desc = f"a_p = {st.a_p:.4f}, a_c = {st.a_c:.4f}, b = {st.b:.4f}"
     print(f"{beta:6.3f}  {rep.regime.value:22s} {desc}")

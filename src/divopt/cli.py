@@ -145,7 +145,7 @@ def _barrier_cells(report: SolveReport) -> dict[str, float | None]:
     elif isinstance(st, Liquidation):
         cells.update(b1=st.b1, b2=st.b2)
     elif isinstance(st, PeriodicBarrier):
-        cells.update(b0=st.b)
+        cells.update(b0=st.a_p)
     return cells
 
 

@@ -1,11 +1,11 @@
 """Monte Carlo oracle for the controlled surplus under any strategy.
 
-Between payments the surplus is x + mu t + sigma W_t. A strategy acts only
-at a decision time (an exponential clock of rate gamma) or when the
-surplus leaves an interval: (0, b) for a hybrid, (0, inf) for the periodic
-families, (0, b1) for a liquidation, or (b2, inf) above b2. Each step of a
-path races that exit against the clock, draws the outcome from its exact
-law and applies the payment rule there: no time grid, no sampled time.
+Between payments the surplus is x + mu t + sigma W_t. A strategy (a_p, a_c,
+b, b2) acts only at a decision time (an exponential clock of rate gamma) or
+when the surplus leaves an interval: (0, b) below its trigger set [b, b2),
+(b2, inf) above it; b = inf gives (0, inf). Each step of a path races that
+exit against the clock, draws the outcome from its exact law and applies
+the payment rule there: no time grid, no sampled time.
 
 Exit laws (Borodin & Salminen, Handbook of Brownian Motion; Avram,
 Kyprianou & Pistorius 2004): with the lower end shifted to 0, L the length
@@ -49,48 +49,39 @@ import numpy as np
 
 from .core import ModelParams, Roots, _root_pair
 from .errors import ConfigError
-from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy, nets_positive
+from .strategies import Strategy, nets_positive
 
 _PART = 1 << 14  # paths advanced together, which bounds the per-step arrays
 
 
 class _Rules:
     """The payment rules of one strategy, vectorised over surplus levels:
-    periodic(x) and immediate(x) give (amount, new_x, dies). keep is the
-    periodic barrier (None pays all), band the ends of the trigger set and
-    reset the level after an immediate payment (None liquidates)."""
+    periodic(x) and immediate(x) give (amount, new_x); a new level of 0
+    ends the path. keep is the periodic level a_p, reset the level a_c
+    after an immediate payment and band the trigger set [b, b2)."""
 
     def __init__(self, strategy: Strategy):
         s = strategy
-        self.keep = self.band = self.reset = None
-        if isinstance(s, Hybrid):
-            self.keep, self.band, self.reset = s.a_p, (s.b, math.inf), s.a_c
-        elif isinstance(s, PeriodicBarrier):
-            self.keep = s.b
-        elif isinstance(s, Liquidation):
-            self.band = (s.b1, s.b2)
+        self.keep, self.reset, self.band = s.a_p, s.a_c, (s.b, s.b2)
 
     def periodic(self, x):
-        if self.keep is None:
-            return x, np.zeros_like(x), True
-        return np.maximum(x - self.keep, 0.0), np.minimum(x, self.keep), False
+        if self.keep == 0.0:  # pays everything; skips two array passes
+            return x, np.zeros_like(x)
+        return np.maximum(x - self.keep, 0.0), np.minimum(x, self.keep)
 
     def immediate(self, x):
-        if self.reset is None:
-            return x, np.zeros_like(x), True
-        return x - self.reset, np.full_like(x, self.reset), False
+        return x - self.reset, np.full_like(x, self.reset)
 
-    def triggered(self, x):  # [b, inf) for a hybrid, (b1, b2) for a liquidation
-        if self.band is None:
-            return np.zeros(np.shape(x), dtype=bool)
+    def triggered(self, x):
         lo, hi = self.band
-        return ((x > lo) if self.reset is None else (x >= lo)) & (x < hi)
+        return (x >= lo) & (x < hi)
 
     def interval(self, x):  # the ends of the interval holding x, below or above band
-        if self.band is None:
-            return np.zeros_like(x), np.full_like(x, math.inf)
-        above = x >= self.band[1]
-        return np.where(above, self.band[1], 0.0), np.where(above, math.inf, self.band[0])
+        b, b2 = self.band
+        if b2 == math.inf:
+            return np.zeros_like(x), np.full_like(x, b)
+        above = x >= b2
+        return np.where(above, b2, 0.0), np.where(above, math.inf, b)
 
 
 @dataclass(frozen=True)
@@ -202,7 +193,7 @@ def simulate_at(params: ModelParams, roots: Roots, strategy: Strategy, config: S
                 x0s) -> list[SimResult]:
     """Simulate several starting points under common random numbers.
 
-    A hybrid whose immediate payments net nothing (strategies.nets_positive)
+    A strategy whose immediate payments net nothing (strategies.nets_positive)
     is refused with ConfigError before any path is drawn: its paths would
     make of the order of 1/(b - a_c) payments for no gain.
     """
@@ -244,11 +235,11 @@ def _run(p: ModelParams, rules: _Rules, laws, eps: float, rng, counts, x, nb: in
         counts[row] += np.bincount(idx[i] // C % nb, minlength=nb)
 
     def pay(i, x, immediate):
-        """Pay a rule at surplus x on live paths i; new surplus, NaN if done."""
-        amount, new, dies = (rules.immediate if immediate else rules.periodic)(x)
+        """Pay a rule at surplus x on live paths i; the new surplus."""
+        amount, new = (rules.immediate if immediate else rules.periodic)(x)
         count(2 if immediate else 1, i[amount > 0.0])  # zero payments are no-ops
         epv[idx[i]] += w[i] * (p.beta * amount - p.chi if immediate else amount)
-        return np.nan if dies else new
+        return new
 
     # time zero: the immediate rule (x0 = 0 is ruin at once)
     i = np.flatnonzero(rules.triggered(x) & (x > 0.0))

@@ -489,11 +489,11 @@ def _report(
     residuals: dict[str, float] = {}
     boundary: dict[str, bool] = {}
     if isinstance(strategy, PeriodicBarrier):
-        boundary["b0_zero"] = strategy.b == 0.0
-        if strategy.b > 0.0:
+        boundary["b0_zero"] = strategy.a_p == 0.0
+        if strategy.a_p > 0.0:
             gd = params.gamma + params.delta
             q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
-            residuals["periodic_target"] = abs(Q(params, roots, strategy.b) - q_star)
+            residuals["periodic_target"] = abs(Q(params, roots, strategy.a_p) - q_star)
     elif isinstance(strategy, Hybrid):
         vf = ValueFunction(params, roots, strategy)
         a, a_c = strategy.a_p, strategy.a_c

@@ -1,20 +1,24 @@
 """Closed-form value functions V(x; strategy) and their derivatives.
 
-Each strategy family has an explicit piecewise representation built from
-the scale function f (core.f), its counterpart g(x) = e^{r1 x} - e^{s1 x}
-at discount level gamma + delta, and a small set of coefficients:
+Every strategy's value function is one piecewise form built from the
+scale function f (core.f), its counterpart g(x) = e^{r1 x} - e^{s1 x} at
+discount level gamma + delta, and a small set of coefficients:
 
-* Hybrid (a, a_c, b), with l = a_c - a, d = b - a, y = b - a_c:
+* Strategy(a, a_c, b, b2), with l = a_c - a, d = b - a, y = b - a_c (the
+  hybrid form; every strategy is evaluated through it):
 
     V(x) = 0                                            x < 0
            C f(x)                                       0 <= x < a
            A g(x-a) + B e^{s1 (x-a)}
              + pv (x - a + mu/(g+d) + V(a))             a <= x < b
-           beta (x - a_c) - chi + V(a_c)                x >= b
+           beta (x - a_c) - chi + V(a_c)                b <= x < b2
+           B2 e^{s1 (x-b2)}
+             + pv (x - a + mu/(g+d) + V(a))             x >= b2 (b2 finite)
 
   C, B, A are the unique constants making V continuous at a and b and C^1
-  at a. One kernel, hybrid_kernel, computes them in exponent-shifted form
-  (with g and J(x) = -s1 g(x) + (r1 - s1)(e^{s1 x} - 1) written out):
+  at a, and B2 makes it continuous at b2. One kernel, hybrid_kernel,
+  computes C, B, A in exponent-shifted form (with g and
+  J(x) = -s1 g(x) + (r1 - s1)(e^{s1 x} - 1) written out):
   e^{r1 d} is factored out of the numerator and denominator of C, and A is
   carried as A_hat = A e^{r1 d}, so every exponential it evaluates is at
   most 1. This is the usual treatment of scale functions, whose scaled form
@@ -35,22 +39,25 @@ at discount level gamma + delta, and a small set of coefficients:
   (P, Q, f(a)) . N(l, y) over (f(a), f'(a)) . D(l, y), plus a term in l,
   so on a lattice both contract over the a axis as matrix products.
 
-* PeriodicBarrier(b) is Hybrid(b, b, inf): never paying immediately is the
+* PeriodicBarrier(b) = (b, b, inf, inf): never paying immediately is the
   d -> inf limit of the kernel, where A -> 0 and C tends to a closed form
   independent of d.
 
-* PeriodicZero: V(x) = -(g mu/(g+d)^2) e^{s1 x} + pv (x + mu/(g+d)).
+* PeriodicZero() = PeriodicBarrier(0) = (0, 0, inf, inf): the kernel at
+  a = l = 0, y = inf gives V(x) = -(g mu/(g+d)^2) e^{s1 x} + pv (x + mu/(g+d)),
+  with V(0) = 0 exactly. periodic_zero evaluates the same closed form
+  directly for the solver's regime scans.
 
-* Liquidation(b1, b2) is Hybrid(0, 0, b1) below b2:
+* Liquidation(b1, b2) = (0, 0, b1, b2), the hybrid form at a = a_c = 0
+  below b2:
 
     V(x) = A g(x) + V(x; periodic-zero)                 0 <= x < b1
            beta x - chi                                 b1 <= x < b2
-           B e^{s1 (x - b2)} + pv (x + mu/(g+d))        x >= b2 (b2 finite)
+           B2 e^{s1 (x - b2)} + pv (x + mu/(g+d))       x >= b2 (b2 finite)
 
   The hybrid's B at a = a_c = 0 is -g mu/(g+d)^2, and its A_hat e^{-r1 b1}
   is A = [alpha b1 - chi - (g mu/(g+d)^2)(1 - e^{s1 b1})] / g(b1)
-  (liquidation_A). B beyond b2, absent when b2 is infinite, is fixed by
-  continuity at b2.
+  (liquidation_A).
 
 Derivatives are always analytic; at kink points the first derivative is
 one-sided and callers choose the side (left by default, matching how the
@@ -66,7 +73,7 @@ import numpy as np
 
 from .core import ModelParams, Roots, f
 from .errors import DegenerateDenominatorError, OutOfRangeError
-from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy, nets_positive
+from .strategies import Strategy, nets_positive
 
 # math.exp overflows beyond this argument
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -242,72 +249,56 @@ class ValueFunction:
         r1, s1 = roots.r1, roots.s1
         beta, chi = params.beta, params.chi
 
+        a, a_c, b, b2 = strategy.a_p, strategy.a_c, strategy.b, strategy.b2
+        if not nets_positive(strategy, chi, beta):
+            raise ValueError(f"need b > a_c + chi/beta = {a_c + chi / beta}, got b={b}")
+        if roots.r0 * a > _LOG_DBL_MAX:
+            raise OutOfRangeError(f"f(a) overflows at lower barrier a={a}: r0 a > log(DBL_MAX)")
+        C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)[3:9]
+        # P (below) bounds den and f'(a); it overflows before f(a) does
+        # once r0 - s1 delta/(g+d) > 1
+        if not math.isfinite(P):
+            raise OutOfRangeError(f"f'(a) - s1 k f(a) overflows at lower barrier a={a}")
+        # den tends to P = f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
+        # denominator this many orders below that is cancellation noise
+        if not abs(den) > 1e-12 * P:
+            raise DegenerateDenominatorError(
+                f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
+            )
+        # E through np.exp, as mid's e^{r1 (x - b)}: at x = a the A_hat
+        # terms cancel exactly, so V(0) = 0 when a = 0
+        E = np.exp(r1 * (a - b))
+        c0 = pv * (m1 + C * fa - a)  # V(a) = C f(a)
+
+        def mid(x, k):
+            es1u = s1**k * np.exp(s1 * (x - a))
+            v = B * es1u + _affine(x, k, pv, c0)
+            if b < math.inf:  # at b = inf the A_hat terms are 0 everywhere
+                v += A_hat * (r1**k * np.exp(r1 * (x - b)) - E * es1u)
+            return v
+
         # (upper_bound, fn) with fn(x, k) the k-th derivative on the piece;
         # the last upper bound is inf
         pieces = []
-
-        if isinstance(strategy, PeriodicZero):
-            pieces.append((math.inf, lambda x, k: periodic_zero(params, roots, x, k)))
-            self.kinks: tuple[float, ...] = ()
-
-        elif isinstance(strategy, (Hybrid, PeriodicBarrier, Liquidation)):
-            # Liquidation(b1, b2) is Hybrid(0, 0, b1) below b2
-            b2 = math.inf
-            if isinstance(strategy, Hybrid):
-                a, a_c, b = strategy.a_p, strategy.a_c, strategy.b
-            elif isinstance(strategy, PeriodicBarrier):
-                a, a_c, b = strategy.b, strategy.b, math.inf
-            else:
-                a, a_c, b, b2 = 0.0, 0.0, strategy.b1, strategy.b2
-            if not nets_positive(strategy, chi, beta):
-                raise ValueError(f"need b > a_c + chi/beta = {a_c + chi / beta}, got b={b}")
-            if roots.r0 * a > _LOG_DBL_MAX:
-                raise OutOfRangeError(f"f(a) overflows at lower barrier a={a}: r0 a > log(DBL_MAX)")
-            C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)[3:9]
-            # P (below) bounds den and f'(a); it overflows before f(a) does
-            # once r0 - s1 delta/(g+d) > 1
-            if not math.isfinite(P):
-                raise OutOfRangeError(f"f'(a) - s1 k f(a) overflows at lower barrier a={a}")
-            # den tends to P = f'(a) - s1 (delta/(g+d)) f(a) > 0 as d grows; a
-            # denominator this many orders below that is cancellation noise
-            if not abs(den) > 1e-12 * P:
-                raise DegenerateDenominatorError(
-                    f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
-                )
-            # E through np.exp, as mid's e^{r1 (x - b)}: at x = a the A_hat
-            # terms cancel exactly, so V(0) = 0 when a = 0
-            E = np.exp(r1 * (a - b))
-            c0 = pv * (m1 + C * fa - a)  # V(a) = C f(a)
-
-            def mid(x, k):
-                es1u = s1**k * np.exp(s1 * (x - a))
-                v = B * es1u + _affine(x, k, pv, c0)
-                if b < math.inf:  # at b = inf the A_hat terms are 0 everywhere
-                    v += A_hat * (r1**k * np.exp(r1 * (x - b)) - E * es1u)
-                return v
-
-            if a > 0.0:
-                pieces.append((a, lambda x, k: C * f(roots, x, k)))
-            pieces.append((b, mid))
-            if math.isfinite(b):
-                v_ac = float(mid(np.float64(a_c), 0))
-                pieces.append((b2, lambda x, k: _affine(x, k, beta, v_ac - beta * a_c - chi)))
-                self.kinks = (b,)
-            else:
-                self.kinks = (a,) if a > 0.0 else ()
-            if b2 < math.inf:
-                b2c = beta * b2 - chi - pv * (b2 + m1)
-                pieces.append(
-                    (
-                        math.inf,
-                        lambda x, k: b2c * s1**k * np.exp(s1 * (x - b2))
-                        + _affine(x, k, pv, pv * m1),
-                    )
-                )
-                self.kinks = (b, b2)
-
+        if a > 0.0:
+            pieces.append((a, lambda x, k: C * f(roots, x, k)))
+        pieces.append((b, mid))
+        if math.isfinite(b):
+            v_ac = float(mid(np.float64(a_c), 0))
+            pieces.append((b2, lambda x, k: _affine(x, k, beta, v_ac - beta * a_c - chi)))
+            self.kinks: tuple[float, ...] = (b,)
         else:
-            raise TypeError(f"unknown strategy type: {strategy!r}")
+            self.kinks = (a,) if a > 0.0 else ()
+        if b2 < math.inf:
+            # B2: V(b2) is beta (b2 - a_c) - chi + V(a_c), the band's limit
+            b2c = beta * (b2 - a_c) - chi + v_ac - pv * (b2 - a + m1 + C * fa)
+            pieces.append(
+                (
+                    math.inf,
+                    lambda x, k: b2c * s1**k * np.exp(s1 * (x - b2)) + _affine(x, k, pv, c0),
+                )
+            )
+            self.kinks = (b, b2)
 
         self._pieces = pieces
         self.breakpoints = tuple(ub for ub, _ in pieces[:-1])

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModelParams, Roots
-from .strategies import Hybrid, Liquidation, PeriodicBarrier, Strategy
+from .strategies import Hybrid, Strategy
 from .values import ValueFunction, hybrid_value_ac
 
 KINK_WINDOW = 1e-6  # check_hjb skips condition A this close to a kink
@@ -51,15 +51,9 @@ class HJBReport:
 
 
 def _strategy_levels(strategy: Strategy) -> list[float]:
-    if isinstance(strategy, Hybrid):
-        lv = [strategy.a_p, strategy.a_c, strategy.b]
-    elif isinstance(strategy, Liquidation):
-        lv = [strategy.b1, strategy.b2]
-    elif isinstance(strategy, PeriodicBarrier):
-        lv = [strategy.b]
-    else:
-        lv = []
-    return [v for v in lv if math.isfinite(v)]
+    """The distinct levels strictly between 0 and inf, ascending."""
+    s = strategy
+    return sorted({v for v in (s.a_p, s.a_c, s.b, s.b2) if 0.0 < v < math.inf})
 
 
 def _payment_targets(x: np.ndarray, levels: list[float], density: int) -> np.ndarray:

@@ -1,5 +1,7 @@
-import importlib
+import ast
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from divopt import (
     PeriodicBarrier,
     PeriodicZero,
     SimConfig,
+    Strategy,
     ValueFunction,
     simulate,
     simulate_at,
@@ -23,33 +26,42 @@ from divopt.simulate import _Rules
 
 class TestPolicyStep:
     """The payment rules the engine applies (simulate._Rules): periodic(x)
-    and immediate(x) give (amount, new surplus, path ends), triggered(x)
-    the trigger set, interval(x) the ends of the interval a step exits."""
+    and immediate(x) give (amount, new surplus), where a new surplus of 0
+    ends the path; triggered(x) the trigger set, interval(x) the ends of
+    the interval a step exits."""
 
     def test_hybrid_payment_map(self):
         rules = _Rules(Hybrid(1.0, 2.0, 4.0))
         # the trigger set [b, inf) is closed at b
         x = np.array([0.5, 3.0, 3.99, 4.0, 4.5])
         assert rules.triggered(x).tolist() == [False, False, False, True, True]
-        amount, new, ends = rules.immediate(np.array([4.5]))
-        assert (amount.tolist(), new.tolist(), ends) == ([2.5], [2.0], False)
+        amount, new = rules.immediate(np.array([4.5]))
+        assert (amount.tolist(), new.tolist()) == ([2.5], [2.0])
         # at or below a_p a decision time pays zero, which is no payment
-        amount, new, ends = rules.periodic(np.array([3.0, 0.5]))
-        assert (amount.tolist(), new.tolist(), ends) == ([2.0, 0.0], [1.0, 0.5], False)
+        amount, new = rules.periodic(np.array([3.0, 0.5]))
+        assert (amount.tolist(), new.tolist()) == ([2.0, 0.0], [1.0, 0.5])
         lo, hi = rules.interval(np.array([0.5, 3.0]))
         assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0], [4.0, 4.0])
 
-    def test_liquidation_payment_map(self):
-        rules = _Rules(Liquidation(1.0, 2.0))
-        # both ends of the band (b1, b2) are excluded
+    def test_liquidation_payment_map(self, neg_params, neg_roots):
+        st = Liquidation(1.0, 2.0)
+        rules = _Rules(st)
+        # the trigger set [b1, b2) is closed at b1, like the hybrid's [b, inf):
+        # V's right limit there is beta b1 - chi
         x = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-        assert rules.triggered(x).tolist() == [False, False, True, False, False]
-        amount, new, ends = rules.immediate(np.array([1.5]))
-        assert (amount.tolist(), new.tolist(), ends) == ([1.5], [0.0], True)
-        amount, new, ends = rules.periodic(np.array([2.5]))
-        assert (amount.tolist(), new.tolist(), ends) == ([2.5], [0.0], True)
+        assert rules.triggered(x).tolist() == [False, True, True, False, False]
+        # both rules pay everything, and the new level 0 ends the path
+        amount, new = rules.immediate(np.array([1.5]))
+        assert (amount.tolist(), new.tolist()) == ([1.5], [0.0])
+        amount, new = rules.periodic(np.array([2.5]))
+        assert (amount.tolist(), new.tolist()) == ([2.5], [0.0])
         lo, hi = rules.interval(np.array([0.5, 2.0, 2.5]))
         assert (lo.tolist(), hi.tolist()) == ([0.0, 2.0, 2.0], [1.0, math.inf, math.inf])
+        # the engine ends every path that starts in [b1, b2) at time zero
+        cfg = SimConfig(n_paths=64)
+        for r in simulate_at(neg_params, neg_roots, st, cfg, [1.0, 1.5]):
+            assert (r.ruin_fraction, r.n_immediate_dividends, r.n_events) == (1.0, 64, 0)
+            assert r.epv_mean == pytest.approx(neg_params.beta * r.x0 - neg_params.chi, rel=1e-12)
 
     def test_periodic_families(self):
         x = np.array([1.7, 0.7])
@@ -58,11 +70,12 @@ class TestPolicyStep:
             assert not rules.triggered(x).any()
             lo, hi = rules.interval(x)
             assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0], [math.inf, math.inf])
-        amount, new, ends = pz.periodic(x)
-        assert (amount.tolist(), new.tolist(), ends) == ([1.7, 0.7], [0.0, 0.0], True)
-        amount, new, ends = pb.periodic(x)
+        # periodic-zero pays everything down to the level 0, which ends the path
+        amount, new = pz.periodic(x)
+        assert (amount.tolist(), new.tolist()) == ([1.7, 0.7], [0.0, 0.0])
+        amount, new = pb.periodic(x)
         assert amount.tolist() == pytest.approx([0.7, 0.0])
-        assert (new.tolist(), ends) == ([1.0, 0.7], False)
+        assert new.tolist() == [1.0, 0.7]
 
     def test_negative_surplus_rejected(self, neg_params, neg_roots):
         with pytest.raises(ConfigError):
@@ -152,6 +165,15 @@ class TestSimulate:
         assert res.epv_mean == pytest.approx(neg_params.beta * x0 - neg_params.chi)
         assert res.ruin_fraction == 1.0
         assert res.n_immediate_dividends == 100
+
+    def test_bounded_band_above_a_positive_level_matches_value(self, pos_params, pos_roots):
+        # no family has a_p > 0 with a finite b2: above b2 a decision time
+        # pays down to a_p, and the exit down at b2 pays down to a_c
+        st = Strategy(0.3, 0.4, 1.3, 2.0)
+        vf = ValueFunction(pos_params, pos_roots, st)
+        cfg = SimConfig(n_paths=2000, seed=5, truncation_tol=1e-4)
+        for r in simulate_at(pos_params, pos_roots, st, cfg, [1.0, 2.5, 4.0]):
+            assert abs(r.epv_mean - float(vf(r.x0))) < 4.0 * r.epv_stderr + 1e-3
 
     def test_hybrid_start_above_b_triggers_at_time_zero(self, pos_params, pos_roots):
         st = solve(pos_params).strategy
@@ -337,3 +359,28 @@ class TestExitLaws:
         for r in simulate_at(neg_params, neg_roots, st, cfg, x0s):
             assert math.isfinite(r.epv_mean) and math.isfinite(r.epv_stderr)
             assert abs(r.epv_mean - float(vf(r.x0))) < 4.0 * r.epv_stderr + 1e-3
+
+
+def _package_imports(module: str) -> set[str]:
+    """The divopt modules that divopt.<module> imports, read from its source."""
+    tree = ast.parse(Path(importlib.util.find_spec(f"divopt.{module}").origin).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name.split(".")[0] != "divopt":
+                    continue
+                name = name[len("divopt"):].lstrip(".")
+            # "" is the package itself: "from . import x" names modules
+            found |= {name.split(".")[0]} if name else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] or "divopt" for a in node.names
+                      if a.name.split(".")[0] == "divopt"}
+    return found
+
+
+def test_engine_stays_independent_of_the_closed_forms():
+    # the engine reads only the parameters, its own roots and the levels
+    assert _package_imports("simulate") <= {"core", "errors", "strategies"}
+    assert _package_imports("strategies") == set()

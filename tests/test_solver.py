@@ -163,7 +163,7 @@ class TestPeriodicB0:
         rep = solve(mk(beta=0.5))
         assert rep.regime is Regime.PROFITABLE_PERIODIC
         assert isinstance(rep.strategy, PeriodicBarrier)
-        assert rep.strategy.b > 0
+        assert rep.strategy.a_p > 0
 
 
 class TestHybridSolve:

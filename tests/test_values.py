@@ -172,6 +172,9 @@ class TestValueExamples:
         assert ValueFunction(pos_params, pos_roots, PeriodicBarrier(0.7))(0.0) == 0.0
         assert ValueFunction(neg_params, neg_roots, PeriodicZero())(0.0) == 0.0
         assert ValueFunction(neg_params, neg_roots, Liquidation(0.3, 2.7))(0.0) == 0.0
+        # the two g mu/(g+d)^2 terms of the closed form round apart here
+        p = ModelParams(mu=-1.0, sigma=0.3, chi=0.15, beta=0.7, gamma=0.5, delta=0.1)
+        assert ValueFunction(p, solve_roots(p), PeriodicZero())(0.0) == 0.0
 
     def test_ruined_region_is_zero(self, pos_params, pos_roots):
         assert ValueFunction(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3))(-0.5) == 0.0
@@ -279,7 +282,9 @@ class TestPeriodicBarrierReduction:
         pb = ValueFunction(neg_params, neg_roots, PeriodicBarrier(0.0))
         pz = ValueFunction(neg_params, neg_roots, PeriodicZero())
         xs = np.linspace(0.0, 5.0, 100)
-        assert np.allclose(pb(xs), pz(xs), rtol=0, atol=1e-12)
+        assert np.array_equal(pb(xs), pz(xs))
+        assert np.array_equal(pb.d1(xs), pz.d1(xs))
+        assert np.array_equal(pb.d2(xs), pz.d2(xs))
 
 
 class TestLiquidationPieces:

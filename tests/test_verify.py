@@ -42,6 +42,17 @@ class TestCheckHJB:
         rep = check_hjb(p, r, PeriodicZero())
         assert rep.passed
 
+    def test_zero_periodic_barrier_gets_a_real_grid(self):
+        # the b0 = 0 optimum has no positive level; its default grid must
+        # still reach past the origin
+        p = ModelParams(mu=0.1, sigma=2.0, chi=0.01, beta=0.5, gamma=1.0, delta=0.15)
+        rep = solve(p)
+        assert rep.strategy == PeriodicBarrier(0.0)
+        r = solve_roots(p)
+        hjb = check_hjb(p, r, rep.strategy)
+        assert hjb.x_generator.max() == pytest.approx(3.0 * (1.0 / abs(r.s1) + 1.0 / r.r1))
+        assert hjb.passed
+
     def test_liquidation_window_passes(self, neg_params, neg_roots):
         st = solve(neg_params).strategy
         rep = check_hjb(neg_params, neg_roots, st)
@@ -120,7 +131,7 @@ def controls():
         ("hybrid b+0.2", pos, Hybrid(h.a_p, h.a_c, h.b + 0.2)),
         ("hybrid a_p+0.3", pos, Hybrid(h.a_p + 0.3, max(h.a_c, h.a_p + 0.3), h.b)),
         ("periodic barrier", periodic, pb),
-        ("periodic barrier x1.5", periodic, PeriodicBarrier(1.5 * pb.b)),
+        ("periodic barrier x1.5", periodic, PeriodicBarrier(1.5 * pb.a_p)),
         ("periodic-zero", waits, PeriodicZero()),
         ("periodic-zero where paying is best", pos, PeriodicZero()),
         ("finite liquidation", neg, liq),
