@@ -1,6 +1,12 @@
 """Command-line interface: solve, value, simulate, sweep, verify.
 
-Parameters come from flags or a flat key=value config file (flags win).
+Each command's options, with their types and defaults, are declared once,
+in _build_parser. --config names a flat key=value file whose keys are the
+command's flags without the leading dashes (x_max for --x-max). Its lines
+are parsed as --key=value flags placed before the command line's own, so
+explicit flags win, and a key the command does not take is a usage error,
+as its flag is.
+
 All numeric output is formatted to 12 significant digits with '\n' line
 endings, so identical inputs and seed give byte-identical files.
 
@@ -17,7 +23,7 @@ import sys
 import numpy as np
 
 from .core import ModelParams, solve_roots
-from .errors import ConfigError, DivoptError, NoBracketError
+from .errors import ConfigError, DivoptError
 from .simulate import SimConfig, simulate
 from .solver import SolveReport, solve
 from .strategies import Hybrid, Liquidation, PeriodicBarrier
@@ -25,8 +31,9 @@ from .values import ValueFunction
 from .verify import audit_derivative_pattern, check_hjb
 
 _PARAM_KEYS = ("mu", "sigma", "chi", "beta", "gamma", "delta")
-_FLOAT_KEYS = _PARAM_KEYS + ("x0", "dt", "horizon", "tol", "from", "to", "x_max")
-_INT_KEYS = ("paths", "seed", "count", "points")
+_BARRIER_KEYS = ("a_p", "a_c", "b", "b1", "b2", "b0")
+# the asymptotic column stays in the format and is always empty
+_CSV_HEADER = ",".join(("param", "regime") + _BARRIER_KEYS + ("asymptotic", "error"))
 
 
 def _fmt(v) -> str:
@@ -41,13 +48,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict[str, object] = {}
+def _config_flags(path: str) -> list[str]:
+    """The key=value lines of a config file as --key=value flags."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    flags = []
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,16 +63,9 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {raw.strip()!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip().strip("\"'")
-        if key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in ("sweep", "out", "config"):
-            values[key] = val
-        else:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-    return values
+        key, val = key.strip().replace("_", "-"), val.strip().strip("\"'")
+        flags.append(f"--{key}={val}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,70 +76,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser):
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         for key in _PARAM_KEYS:
-            p.add_argument(f"--{key}", type=float, default=None)
-        p.add_argument("--config", type=str, default=None, help="key=value file")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance")
-        p.add_argument("--out", type=str, default=None, help="CSV output path")
+            p.add_argument(f"--{key}", type=float)
+        p.add_argument("--config", help="key=value file")
+        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
+        p.add_argument("--out", help="CSV output path")
+        return p
 
-    p_solve = sub.add_parser("solve", help="classify regime and compute barriers")
-    add_common(p_solve)
+    command("solve", cmd_solve, "classify regime and compute barriers")
 
-    p_value = sub.add_parser("value", help="tabulate V, V', V'' of the solved strategy")
-    add_common(p_value)
-    p_value.add_argument("--x-max", dest="x_max", type=float, default=None)
-    p_value.add_argument("--points", type=int, default=None)
+    p_value = command("value", cmd_value, "tabulate V, V', V'' of the solved strategy")
+    p_value.add_argument("--x-max", type=float, default=10.0)
+    p_value.add_argument("--points", type=int, default=200)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo EPV of the solved strategy")
-    add_common(p_sim)
-    p_sim.add_argument("--x0", type=float, default=None)
-    p_sim.add_argument("--paths", type=int, default=None)
-    p_sim.add_argument("--dt", type=float, default=None,
-                       help="accepted for compatibility; results do not depend on it")
-    p_sim.add_argument("--horizon", type=float, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim = command("simulate", cmd_simulate, "Monte Carlo EPV of the solved strategy")
+    p_sim.add_argument("--x0", type=float, default=1.0)
+    p_sim.add_argument("--paths", type=int, default=10_000)
+    p_sim.add_argument("--horizon", type=float)
+    p_sim.add_argument("--seed", type=int, default=42)
 
-    p_sweep = sub.add_parser("sweep", help="solve along one parameter axis, emit CSV")
-    add_common(p_sweep)
-    p_sweep.add_argument("--sweep", type=str, default=None, choices=list(_PARAM_KEYS))
-    p_sweep.add_argument("--from", dest="from_", type=float, default=None)
-    p_sweep.add_argument("--to", type=float, default=None)
-    p_sweep.add_argument("--count", type=int, default=None)
+    p_sweep = command("sweep", cmd_sweep, "solve along one parameter axis, emit CSV")
+    p_sweep.add_argument("--sweep", choices=_PARAM_KEYS)
+    p_sweep.add_argument("--from", dest="from_", type=float)
+    p_sweep.add_argument("--to", type=float)
+    p_sweep.add_argument("--count", type=int, default=21)
 
-    p_verify = sub.add_parser("verify", help="optimality checks on the solved strategy")
-    add_common(p_verify)
+    command("verify", cmd_verify, "optimality checks on the solved strategy")
     return top
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags."""
-    merged: dict[str, object] = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        name = "from" if key == "from_" else key
-        if val is not None:
-            merged[name] = val
-    return merged
-
-
-def _params_from(merged: dict) -> ModelParams:
-    missing = [k for k in _PARAM_KEYS if k not in merged]
+def _params(values: dict) -> ModelParams:
+    missing = [k for k in _PARAM_KEYS if values[k] is None]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join('--' + m for m in missing)}")
     try:
-        return ModelParams(**{k: merged[k] for k in _PARAM_KEYS})
+        return ModelParams(**{k: values[k] for k in _PARAM_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _solved(args: argparse.Namespace, check=lambda params: None):
+    """The model parameters, their roots and the solve report.
+
+    check(params) raises a usage error before the solve, which may be slow
+    or fail.
+    """
+    params = _params(vars(args))
+    check(params)
+    report = solve(params, tol=args.tol)
+    return params, solve_roots(params), report
+
+
 def _barrier_cells(report: SolveReport) -> dict[str, float | None]:
-    cells: dict[str, float | None] = {
-        "a_p": None, "a_c": None, "b": None, "b1": None, "b2": None, "b0": None,
-    }
+    cells: dict[str, float | None] = dict.fromkeys(_BARRIER_KEYS)
     st = report.strategy
     if isinstance(st, Hybrid):
         cells.update(a_p=st.a_p, a_c=st.a_c, b=st.b)
@@ -149,6 +142,11 @@ def _barrier_cells(report: SolveReport) -> dict[str, float | None]:
     return cells
 
 
+def _csv_row(param: float | None, report: SolveReport) -> str:
+    cells = [_fmt(c) for c in _barrier_cells(report).values()]
+    return ",".join([_fmt(param), report.regime.value] + cells + ["", ""])
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -157,10 +155,10 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _print_report(report: SolveReport) -> None:
+def cmd_solve(args: argparse.Namespace) -> int:
+    _, _, report = _solved(args)
     print(f"regime: {report.regime.value}")
-    cells = _barrier_cells(report)
-    for name, val in cells.items():
+    for name, val in _barrier_cells(report).items():
         if val is not None:
             print(f"{name} = {_fmt(val)}")
     for name, val in sorted(report.residuals.items()):
@@ -168,54 +166,28 @@ def _print_report(report: SolveReport) -> None:
     for name, val in sorted(report.boundary.items()):
         if val:
             print(f"boundary: {name}")
-
-
-def cmd_solve(merged: dict) -> int:
-    params = _params_from(merged)
-    report = solve(params, tol=float(merged.get("tol", 1e-10)))
-    _print_report(report)
-    if merged.get("out"):
-        cells = _barrier_cells(report)
-        header = "param,regime," + ",".join(cells) + ",asymptotic,error"
-        row = ",".join(
-            [""]
-            + [report.regime.value]
-            + [_fmt(v) for v in cells.values()]
-            + ["", ""]
-        )
-        _write(merged["out"], header + "\n" + row + "\n")
+    if args.out:
+        _write(args.out, _CSV_HEADER + "\n" + _csv_row(None, report) + "\n")
     return 0
 
 
-def cmd_value(merged: dict) -> int:
-    params = _params_from(merged)
-    report = solve(params, tol=float(merged.get("tol", 1e-10)))
-    roots = solve_roots(params)
-    vf = ValueFunction(params, roots, report.strategy)
-    x_max = float(merged.get("x_max", 10.0))
-    points = int(merged.get("points", 200))
-    if points < 2 or x_max <= 0:
+def cmd_value(args: argparse.Namespace) -> int:
+    if args.points < 2 or args.x_max <= 0:
         raise ConfigError("need --points >= 2 and --x-max > 0")
-    xs = np.linspace(0.0, x_max, points)
+    params, roots, report = _solved(args)
+    vf = ValueFunction(params, roots, report.strategy)
+    xs = np.linspace(0.0, args.x_max, args.points)
     lines = ["x,V,dV,d2V"]
     v, d1, d2 = vf(xs), vf.d1(xs), vf.d2(xs)
-    for i in range(points):
+    for i in range(args.points):
         lines.append(f"{_fmt(float(xs[i]))},{_fmt(float(v[i]))},{_fmt(float(d1[i]))},{_fmt(float(d2[i]))}")
-    _write(merged.get("out"), "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_simulate(merged: dict) -> int:
-    params = _params_from(merged)
-    report = solve(params, tol=float(merged.get("tol", 1e-10)))
-    roots = solve_roots(params)
-    config = SimConfig(
-        x0=float(merged.get("x0", 1.0)),
-        dt=float(merged.get("dt", 1e-3)),
-        horizon=merged.get("horizon"),
-        n_paths=int(merged.get("paths", 10_000)),
-        seed=int(merged.get("seed", 42)),
-    )
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = SimConfig(x0=args.x0, horizon=args.horizon, n_paths=args.paths, seed=args.seed)
+    params, roots, report = _solved(args, lambda params: config.resolved_horizon(params.delta))
     res = simulate(params, roots, report.strategy, config)
     fields = [
         ("x0", res.x0),
@@ -228,51 +200,35 @@ def cmd_simulate(merged: dict) -> int:
     ]
     for name, val in fields:
         print(f"{name}={_fmt(val)}")
-    if merged.get("out"):
+    if args.out:
         header = ",".join(name for name, _ in fields)
         row = ",".join(_fmt(val) for _, val in fields)
-        _write(merged["out"], header + "\n" + row + "\n")
+        _write(args.out, header + "\n" + row + "\n")
     return 0
 
 
-def cmd_sweep(merged: dict) -> int:
-    axis = merged.get("sweep")
-    if axis not in _PARAM_KEYS:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.sweep is None:
         raise ConfigError("--sweep must name one of " + ", ".join(_PARAM_KEYS))
-    if "from" not in merged or "to" not in merged:
+    if args.from_ is None or args.to is None:
         raise ConfigError("--from and --to are required for sweep")
-    count = int(merged.get("count", 21))
-    if count < 2:
+    if args.count < 2:
         raise ConfigError("--count must be >= 2")
-    base = dict(merged)
-    values = np.linspace(float(merged["from"]), float(merged["to"]), count)
-    tol = float(merged.get("tol", 1e-10))
-    # the asymptotic column stays in the format and is always empty
-    lines = ["param,regime,a_p,a_c,b,b1,b2,b0,asymptotic,error"]
-    for v in values:
-        base[axis] = float(v)
+    base = dict(vars(args))
+    lines = [_CSV_HEADER]
+    for v in np.linspace(args.from_, args.to, args.count).tolist():
+        base[args.sweep] = v
         try:
-            params = _params_from(base)
-            report = solve(params, tol=tol)
-            cells = _barrier_cells(report)
-            lines.append(
-                ",".join(
-                    [_fmt(float(v)), report.regime.value]
-                    + [_fmt(c) for c in cells.values()]
-                    + ["", ""]
-                )
-            )
+            lines.append(_csv_row(v, solve(_params(base), tol=args.tol)))
         except (DivoptError, ValueError) as exc:
             error = f"{type(exc).__name__}: {exc}".replace(",", ";")
-            lines.append(",".join([_fmt(float(v))] + [""] * 8 + [error]))
-    _write(merged.get("out"), "\n".join(lines) + "\n")
+            lines.append(",".join([_fmt(v)] + [""] * 8 + [error]))
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_verify(merged: dict) -> int:
-    params = _params_from(merged)
-    report = solve(params, tol=float(merged.get("tol", 1e-10)))
-    roots = solve_roots(params)
+def cmd_verify(args: argparse.Namespace) -> int:
+    params, roots, report = _solved(args)
     hjb = check_hjb(params, roots, report.strategy)
     print(f"regime: {report.regime.value}")
     print(f"hjb_max_generator_violation={_fmt(hjb.max_generator_violation)}")
@@ -289,31 +245,20 @@ def cmd_verify(merged: dict) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # argv[0] is the command, whose own flags follow the file's
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return args.handler(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; map to the config-error code
         return 3 if exc.code not in (0, None) else 0
-    try:
-        merged = _merged(args)
-        handler = {
-            "solve": cmd_solve,
-            "value": cmd_value,
-            "simulate": cmd_simulate,
-            "sweep": cmd_sweep,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(merged)
-    except NoBracketError as exc:
+    except (DivoptError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (ConfigError, ValueError)) else 2
 
 
 if __name__ == "__main__":

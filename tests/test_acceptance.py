@@ -293,7 +293,7 @@ def test_criterion_9_simulation_determinism(tmp_path):
     t0 = time.perf_counter()
     # x0 below the liquidation window so paths genuinely diffuse
     args = ("simulate --mu -1 --sigma 0.3 --chi 0.15 --beta 0.7 --gamma 1 "
-            "--delta 0.15 --x0 0.25 --paths 20000 --dt 0.002 --seed 31").split()
+            "--delta 0.15 --x0 0.25 --paths 20000 --seed 31").split()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(args + ["--out", str(a)]) == 0
     assert cli_main(args + ["--out", str(b)]) == 0

@@ -1,9 +1,29 @@
 import pytest
 
+import divopt.cli
 from divopt.cli import main
+from divopt.errors import NoBracketError
 
 BASE = "--mu 1 --sigma 0.3 --chi 0.01 --beta 0.9 --gamma 1 --delta 0.15".split()
 NEG = "--mu -1 --sigma 0.3 --chi 0.15 --beta 0.7 --gamma 1 --delta 0.15".split()
+
+# key -> (command, model point, options as flags); the test moves the key's
+# option from the flags into a config file
+SWEEP = {"sweep": "chi", "from": "0.001", "to": "0.1", "count": "3"}
+CONFIG_CASES = {
+    "tol": ("solve", BASE, {"tol": "1e-30"}),
+    "out": ("solve", BASE, {"out": "o.csv"}),
+    "x_max": ("value", BASE, {"x_max": "2", "points": "5"}),
+    "points": ("value", BASE, {"points": "7"}),
+    "x0": ("simulate", BASE, {"x0": "0.5", "paths": "200"}),
+    "paths": ("simulate", NEG, {"x0": "0.3", "paths": "100"}),
+    "seed": ("simulate", BASE, {"seed": "5", "paths": "200"}),
+    "horizon": ("simulate", BASE, {"horizon": "200", "paths": "200"}),
+    "sweep": ("sweep", BASE, SWEEP),
+    "from": ("sweep", BASE, SWEEP),
+    "to": ("sweep", BASE, SWEEP),
+    "count": ("sweep", BASE, SWEEP),
+}
 
 
 class TestSolveCommand:
@@ -35,6 +55,44 @@ class TestSolveCommand:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 3
 
+    def test_boundary_flag_printed(self, capsys):
+        argv = "solve --mu 0.1 --sigma 2 --chi 0.01 --beta 0.5 --gamma 1 --delta 0.15"
+        assert main(argv.split()) == 0
+        assert "boundary: b0_zero" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("point, regime", [
+        (BASE, "profitable_hybrid"),
+        (NEG, "unprofitable_liquidation_finite"),
+    ])
+    def test_out_writes_the_sweep_row(self, point, regime, tmp_path):
+        solved, swept = tmp_path / "solve.csv", tmp_path / "sweep.csv"
+        assert main(["solve"] + point + ["--out", str(solved)]) == 0
+        chi = point[point.index("--chi") + 1]
+        assert main(["sweep"] + point + ["--sweep", "chi", "--from", chi, "--to", chi,
+                                         "--count", "2", "--out", str(swept)]) == 0
+        header, row = solved.read_text().splitlines()
+        sweep_header, sweep_row, _ = swept.read_text().splitlines()
+        assert header == sweep_header
+        assert row == "," + sweep_row.split(",", 1)[1]
+        assert row.split(",")[1] == regime
+
+
+@pytest.mark.parametrize("command, options", [
+    ("value", ["--points", "1"]),
+    ("simulate", ["--paths", "0"]),
+    ("simulate", ["--paths", "3"]),  # odd, with antithetic sampling
+    ("simulate", ["--horizon", "nan"]),
+    ("simulate", ["--horizon", "1"]),  # truncates above the tolerance at delta = 0.15
+])
+def test_usage_error_reported_before_the_solve(command, options, monkeypatch, capsys):
+    # as at chi = 0, where the hybrid solve raises NoBracketError
+    def no_bracket(params, tol):
+        raise NoBracketError("the solve ran")
+
+    monkeypatch.setattr(divopt.cli, "solve", no_bracket)
+    assert main([command] + BASE + options) == 3
+    assert "the solve ran" not in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_supplies_parameters(self, tmp_path, capsys):
@@ -58,6 +116,52 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 1\nbogus = 3\n")
         assert main(["solve", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "paths", "100"),  # a key of simulate
+        ("simulate", "dt", "0.001"),  # the engine has no time grid
+    ])
+    def test_option_the_command_does_not_take_rejected(self, command, key, value, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main([command] + NEG + ["--config", str(cfg)]) == 3
+        assert main([command] + NEG + [f"--{key}", value]) == 3
+
+    def test_quotes_and_comments(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# baseline\nmu = '1'  # drift\nsigma = \"0.3\"\n\nchi=0.01\n"
+            "beta = 0.9\ngamma = 1\ndelta = 0.15\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+        by_file = capsys.readouterr()
+        assert main(["solve"] + BASE) == 0
+        assert capsys.readouterr() == by_file
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu 1\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        assert "expected key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", CONFIG_CASES)
+    def test_key_reads_as_its_flag(self, key, tmp_path, monkeypatch, capsys):
+        command, point, options = CONFIG_CASES[key]
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o.csv"
+
+        def run(options, *extra):
+            flags = [f"--{k.replace('_', '-')}={v}" for k, v in options.items()]
+            rc = main([command] + point + list(extra) + flags)
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return rc, capsys.readouterr(), written
+
+        rest = {k: v for k, v in options.items() if k != key}
+        (tmp_path / "run.cfg").write_text(f"{key} = {options[key]}\n")
+        by_flag = run(options)
+        assert run(rest, "--config", "run.cfg") == by_flag
+        assert run(rest) != by_flag  # the value moves the result, so it was read
 
 
 class TestValueCommand:
@@ -112,7 +216,7 @@ class TestSweepCommand:
 class TestSimulateCommand:
     def test_key_value_output(self, capsys):
         rc = main(["simulate"] + NEG + ["--x0", "0.5", "--paths", "2000",
-                                        "--dt", "0.005", "--seed", "7"])
+                                        "--seed", "7"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "epv_mean=" in out and "ruin_fraction=" in out
@@ -120,7 +224,7 @@ class TestSimulateCommand:
     def test_csv_byte_stable_across_runs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate"] + NEG + ["--x0", "0.5", "--paths", "2000",
-                                     "--dt", "0.005", "--seed", "7"]
+                                     "--seed", "7"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -148,7 +252,7 @@ class TestSimulateMatchesValue:
         rows = [r.split(",") for r in vcsv.read_text().splitlines()[1:]]
         exact = {float(r[0]): float(r[1]) for r in rows}
         rc = main(["simulate"] + NEG + ["--x0", "0.5", "--paths", "60000",
-                                        "--dt", "0.001", "--seed", "7"])
+                                        "--seed", "7"])
         assert rc == 0
         out = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
         mean, se = float(out["epv_mean"]), float(out["epv_stderr"])
