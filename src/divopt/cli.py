@@ -150,9 +150,12 @@ def _csv_row(param: float | None, report: SolveReport) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

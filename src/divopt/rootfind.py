@@ -1,9 +1,16 @@
 """Bracketing root finders used by the barrier solver.
 
 All target functions are smooth and cross zero transversally on the
-brackets the solver constructs, so a guarded bisection with secant
-refinement is enough: the secant step is accepted only when it stays
-inside the current bracket, otherwise the step falls back to bisection.
+brackets the solver constructs. bisect_secant steps by regula falsi with
+the Anderson-Bjorck scaling (Anderson & Bjorck 1973, BIT 13): when a step
+replaces the same end of the bracket as the step before, the value at the
+other end is scaled down, so the points close in on the root from both
+sides instead of creeping up on it from one. A halving safeguard bounds
+the worst case: when HALVING_EVALS - 1 evaluations have not halved the
+bracket, the next point is its midpoint.
+
+Signs are compared, never multiplied: the product of two tiny values
+rounds to zero, which would read as a root or a sign change.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ from .errors import NoBracketError
 # bracket width, relative to 1 + |x|, at which a root search stops; where
 # V' is steep, 1e-12 left smooth-fit residuals above the solver's 1e-10 gate
 ABS_TOL_X = 1e-14
-MAX_ITER = 200  # bisect_secant's rounds; each at least halves the bracket
+# the bracket at least halves every HALVING_EVALS evaluations of
+# bisect_secant, and MAX_ITER evaluations stop it, 200 halvings or more
+HALVING_EVALS = 4
+MAX_ITER = 200 * HALVING_EVALS
 GROWTH = 1.7  # bracket_geometric's expansion factor per step
 MAX_GROWTH_STEPS = 400  # 1.7^400 ~ 1e92 times x0
 
@@ -34,36 +44,49 @@ def bisect_secant(
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    lo_neg = flo < 0.0
+    if lo_neg == (fhi < 0.0):
         raise NoBracketError(f"no sign change on [{lo}, {hi}]: f={flo:.3g}, {fhi:.3g}")
+    # flo and fhi only place the next point. The end a step keeps may be
+    # scaled to 0, but the end it replaced holds a nonzero value of the
+    # other sign, so flo - fhi is not 0
+    width = hi - lo  # the bracket when it last halved
+    n = 0  # evaluations since then
+    kept = 0  # the end the last step kept: -1 lo, 1 hi
     for _ in range(MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ABS_TOL_X * (1.0 + abs(mid)):
+        x = 0.5 * (lo + hi)
+        if hi - lo <= ABS_TOL_X * (1.0 + abs(x)):
             break
-        # secant candidate from the bracket endpoints
-        x = mid
-        denom = fhi - flo
-        if denom != 0.0:
-            cand = hi - fhi * (hi - lo) / denom
+        if n < HALVING_EVALS - 1:
+            # an infinite end value makes cand nan or an end, both refused
+            cand = lo + (hi - lo) * (flo / (flo - fhi))
             if lo < cand < hi:
                 x = cand
         fx = fn(x)
         if fx == 0.0:
             return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
+        n += 1
+        if (fx < 0.0) == lo_neg:
+            if kept == 1:
+                fhi *= _ab_scale(fx, flo)
+            lo, flo, kept = x, fx, 1
         else:
-            lo, flo = x, fx
-        # guarantee progress: if the secant end stagnates, bisect once
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
+            if kept == -1:
+                flo *= _ab_scale(fx, fhi)
+            hi, fhi, kept = x, fx, -1
+        if hi - lo <= 0.5 * width:
+            width, n = hi - lo, 0
     return 0.5 * (lo + hi)
+
+
+def _ab_scale(fx: float, fold: float) -> float:
+    """Anderson-Bjorck factor for the kept end's value when fx replaces fold.
+
+    1 - fx/fold, or 1/2 where that is not positive or is nan. fold, the
+    evaluation of the step before, is never 0.
+    """
+    m = 1.0 - fx / fold
+    return m if m > 0.0 else 0.5
 
 
 def bracket_geometric(
@@ -82,7 +105,7 @@ def bracket_geometric(
     for _ in range(MAX_GROWTH_STEPS):
         x *= GROWTH
         fx = fn(x)
-        if flo * fx <= 0.0:
+        if fx == 0.0 or (fx < 0.0) != (flo < 0.0):
             return lo, x, flo, fx
         lo, flo = x, fx
     raise NoBracketError(f"no sign change up to {x:.6g} from x0={x0:.6g}")
@@ -108,7 +131,7 @@ def smallest_root_scan(
     while x < hi:
         x2 = min(x + step, hi)
         f2 = fn(x2)
-        if fx * f2 <= 0.0:
+        if f2 == 0.0 or (f2 < 0.0) != (fx < 0.0):
             return bisect_secant(fn, x, x2, fx, f2)
         x, fx = x2, f2
     raise NoBracketError(f"no sign change scanning [{lo:.6g}, {hi:.6g}] step {step:.3g}")

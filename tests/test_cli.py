@@ -200,6 +200,14 @@ class TestSweepCommand:
         assert main(["sweep"] + BASE + ["--from", "0.1", "--to", "0.2"]) == 3
         assert main(["sweep"] + BASE + ["--sweep", "chi"]) == 3
 
+    @pytest.mark.parametrize("out", ["missing/s.csv", ""])
+    def test_out_that_cannot_be_opened_is_usage_error(self, out, tmp_path, capsys):
+        rc = main(["sweep"] + BASE + ["--sweep", "chi", "--from", "0.01", "--to", "0.02",
+                                      "--count", "2", "--out", str(tmp_path / out) if out else ""])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out") and "Traceback" not in err
+
     def test_per_point_failures_recorded_not_fatal(self, tmp_path):
         # beta sweeping through 0 produces invalid parameter rows
         out = tmp_path / "s.csv"
