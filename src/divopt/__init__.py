@@ -21,18 +21,12 @@ from .solver import (
     Q,
     Regime,
     SolveReport,
-    SufficientConditionHints,
     a_beta,
-    beta0,
-    c_beta_chi,
     classify_regime,
-    cost_ratio_limit,
-    nu_riskiness,
     periodic_b0,
     solve,
     solve_hybrid,
     solve_unprofitable,
-    sufficient_condition_hints,
 )
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
 from .values import ValueFunction, liquidation_A
@@ -68,20 +62,15 @@ __all__ = [
     "SimResult",
     "SolveReport",
     "Strategy",
-    "SufficientConditionHints",
     "ValueFunction",
     "a_beta",
     "audit_derivative_pattern",
-    "beta0",
     "brute_force_hybrid",
-    "c_beta_chi",
     "check_hjb",
     "classify_regime",
-    "cost_ratio_limit",
     "f",
     "laplace_exponent",
     "liquidation_A",
-    "nu_riskiness",
     "periodic_b0",
     "simulate",
     "simulate_at",
@@ -89,5 +78,4 @@ __all__ = [
     "solve_hybrid",
     "solve_roots",
     "solve_unprofitable",
-    "sufficient_condition_hints",
 ]

@@ -15,10 +15,10 @@ Hybrid barriers solve the smooth-fit system V'(a_p) = 1, V'(a_c) = beta,
 V'(b-) = beta. For a lower barrier a = a_p and gap l = a_c - a_p, a
 bracketed search gives the upper gap y = b - a_c with V'(b-) = beta
 (_upper_gap). Around it, the two lower conditions are a system in (a, l),
-solved in one of four ways, tried in this order and each accepted by a
-sign: a = l = 0 (V'(0) <= beta); a = 0 with a bracketed search for l
-(V'(0) <= 1); l = 0 with a bracketed search for a, at beta = 1 only; and
-otherwise a damped Newton in (a_c, log l).
+solved in one of four ways, tried in this order: a = l = 0, accepted when
+V'(0) <= beta; at beta = 1 only, and then always accepted, l = 0 with a
+bracketed search for a; a = 0 with a bracketed search for l, accepted when
+V'(0) <= 1; and otherwise a damped Newton in (a_c, log l).
 
 For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
 is Hybrid(0, 0, b1) below b2, so b1 is the upper-gap search at a = l = 0,
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .core import ModelParams, Roots, f, solve_roots
-from .errors import DivoptError, NoBracketError, OutOfRangeError
+from .errors import DivoptError, OutOfRangeError
 # smallest_root_scan is unused here but kept importable as solver.smallest_root_scan,
 # the name the benchmark's tracer wraps
 from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan  # noqa: F401
@@ -96,124 +96,23 @@ def Q(params: ModelParams, roots: Roots, a: float) -> float:
     return 1.0 - (f(roots, a) / f(roots, a, 1)) * (params.delta / params.mu)
 
 
-def a_beta(params: ModelParams, roots: Roots, beta_prime: float | None = None) -> float:
-    """Level where the periodic-zero value slope equals beta_prime (mu < 0).
+def a_beta(params: ModelParams, roots: Roots) -> float:
+    """Level where the periodic-zero value slope equals beta (mu < 0).
 
-    Closed form from V'(x; pi0) = beta': the exponential term is isolated
-    and logged. Requires V'(0; pi0) < beta' < gamma/(gamma+delta).
+    Closed form from V'(x; pi0) = beta: the exponential term is isolated
+    and logged. Requires V'(0; pi0) < beta < gamma/(gamma+delta).
     """
     if params.mu >= 0.0:
         raise OutOfRangeError("a_beta requires mu < 0")
-    bp = params.beta if beta_prime is None else beta_prime
-    pv = roots.pvfactor
+    beta, pv = params.beta, roots.pvfactor
     gd = params.gamma + params.delta
     k = -params.gamma * params.mu / gd**2  # > 0 for mu < 0
     lo = periodic_zero(params, roots, 0.0, 1)
-    if not lo < bp < pv:
+    if not lo < beta < pv:
         raise OutOfRangeError(
-            f"beta' must lie in (V'(0; pi0), pv) = ({lo:.6g}, {pv:.6g}), got {bp}"
+            f"beta must lie in (V'(0; pi0), pv) = ({lo:.6g}, {pv:.6g}), got {beta}"
         )
-    return math.log((pv - bp) / (k * (-roots.s1))) / roots.s1
-
-
-def c_beta_chi(params: ModelParams, roots: Roots) -> float:
-    """Unique point in (0, a_beta) where V(x; pi0) = beta x - chi.
-
-    Below it, liquidating everything now nets less than waiting; above it,
-    more. Exists exactly when waiting loses at the slope-match level.
-    """
-    ab = a_beta(params, roots)
-    fn = lambda x: periodic_zero(params, roots, x) - (params.beta * x - params.chi)
-    if not fn(ab) < 0.0:
-        raise OutOfRangeError(
-            "V(a_beta; pi0) >= beta a_beta - chi: no crossing point exists"
-        )
-    return bisect_secant(fn, 0.0, ab)
-
-
-def cost_ratio_limit(
-    params: ModelParams, roots: Roots, beta_prime: float
-) -> float:
-    """Largest affordable chi/beta for a finite liquidation window.
-
-    Equals a_{beta'} - V(a_{beta'}; pi0)/beta'; increases from 0 at
-    beta' = V'(0; pi0) to -mu/(gamma+delta) as beta' approaches pv.
-    """
-    if params.mu >= 0.0:
-        raise OutOfRangeError("cost_ratio_limit requires mu < 0")
-    lo = periodic_zero(params, roots, 0.0, 1)
-    pv = roots.pvfactor
-    if not lo <= beta_prime < pv:
-        raise OutOfRangeError(
-            f"beta' must lie in [V'(0; pi0), pv) = [{lo:.6g}, {pv:.6g}), got {beta_prime}"
-        )
-    if beta_prime == lo:
-        return 0.0
-    ab = a_beta(params, roots, beta_prime)
-    return ab - periodic_zero(params, roots, ab) / beta_prime
-
-
-def beta0(params: ModelParams, roots: Roots) -> float:
-    """Threshold retained proportion separating periodic-zero from (b1, b2).
-
-    Solves cost_ratio_limit(beta0) = chi/beta by bisection; only defined
-    when chi/beta < -mu/(gamma+delta), otherwise the limit is never reached.
-    """
-    if params.mu >= 0.0:
-        raise OutOfRangeError("beta0 requires mu < 0")
-    target = params.chi / params.beta
-    gd = params.gamma + params.delta
-    if target >= -params.mu / gd:
-        raise OutOfRangeError(
-            f"chi/beta = {target:.6g} >= -mu/(gamma+delta) = {-params.mu / gd:.6g}"
-        )
-    pv = roots.pvfactor
-    lo = periodic_zero(params, roots, 0.0, 1)
-    fn = lambda bp: cost_ratio_limit(params, roots, bp) - target
-    hi = pv - (pv - lo) * 1e-15
-    # the limit approaches -mu/(gamma+delta) only as beta' -> pv; tighten
-    # the upper end until it brackets
-    while fn(hi) < 0.0:
-        hi = pv - (pv - hi) * 0.1
-        if pv - hi < 1e-300:
-            raise NoBracketError("cost_ratio_limit never reaches chi/beta")
-    return bisect_secant(fn, lo * (1.0 + 1e-14) + 1e-300, hi)
-
-
-def nu_riskiness(params: ModelParams) -> float:
-    """(sigma/mu)^2 (gamma+delta): squared coefficient of variation per decision."""
-    if params.mu == 0.0:
-        raise OutOfRangeError("nu is undefined at mu = 0")
-    return (params.sigma / params.mu) ** 2 * (params.gamma + params.delta)
-
-
-@dataclass(frozen=True)
-class SufficientConditionHints:
-    """Advisory predictions of boundary cases from closed-form thresholds.
-
-    predict_ap_zero: (-s1/r1) pv <= 1 suggests the periodic lower barrier
-    collapses to 0; predict_ac_zero: <= beta suggests both lower barriers
-    collapse. Advisory only; the solver decides, these are cross-checked.
-    """
-
-    predict_ap_zero: bool
-    predict_ac_zero: bool
-    nu: float
-    ratio: float
-
-
-def sufficient_condition_hints(
-    params: ModelParams, roots: Roots
-) -> SufficientConditionHints:
-    if params.mu <= 0.0:
-        raise OutOfRangeError("hints are defined for mu > 0")
-    ratio = (-roots.s1 / roots.r1) * roots.pvfactor
-    return SufficientConditionHints(
-        predict_ap_zero=ratio <= 1.0,
-        predict_ac_zero=ratio <= params.beta,
-        nu=nu_riskiness(params),
-        ratio=ratio,
-    )
+    return math.log((pv - beta) / (k * (-roots.s1))) / roots.s1
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +125,7 @@ def classify_regime(params: ModelParams, roots: Roots) -> Regime:
     For mu < 0 with beta below pv, the finite liquidation window wins iff
     waiting at the slope-match level nets less than liquidating there now
     (V(a_beta; pi0) < beta a_beta - chi); this is the direct form of the
-    beta > beta0 comparison and avoids inverting the threshold curve.
+    paper's beta > beta0 comparison and avoids inverting its threshold curve.
     """
     pv = roots.pvfactor
     if params.mu >= 0.0:
@@ -289,8 +188,9 @@ def _upper_gap(
     """y = b - a_c solving V'(b-) = beta for Hybrid(a, a + l, a + l + y).
 
     A gap y <= chi/beta nets nothing, so the root lies above it; as chi
-    falls the root falls about as sqrt(chi), so no fixed floor stays below
-    it. From there the bracket grows geometrically, unless y_max, known to
+    falls the root falls with it (a liquidation's b1 about as sqrt(chi), a
+    hybrid's y about as chi^(1/3)), so no fixed floor stays below it. From
+    there the bracket grows geometrically, unless y_max, known to
     lie above the root and below any second one, closes it.
     """
     fn = lambda y: kernel(a, l, y)[2] - params.beta
@@ -309,10 +209,11 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
     in turn; diagnostics["path"] names the one taken:
 
     * ap_ac_zero: a = l = 0, accepted when V'(0) <= beta there;
+    * ac_equals_ap: at beta = 1 only, where V'(a_p) = V'(a_c) = 1: l = 0,
+      a from a bracketed search on V'(a) = 1 in [0, a_bar], accepted
+      always, so a beta = 1 solve never reaches the cases below;
     * ap_zero: a = 0, l from a bracketed search on V'(l) = beta, accepted
       when V'(0) <= 1 there;
-    * ac_equals_ap: at beta = 1 only, where V'(a_p) = V'(a_c) = 1: l = 0,
-      a from a bracketed search on V'(a) = 1 in [0, a_bar];
     * interior: a damped Newton in (a_c, log l), with a = a_c - l, started
       at a = a_bar / 2 with ap_zero's l. A step is scaled to move log l by
       at most 2 and a, to first order, at most halfway to an end of
@@ -445,6 +346,8 @@ def solve_unprofitable(
     b1 solves V'(b1-) = beta for Hybrid(0, 0, b1). A finite window's b2 solves
     V'(b2+) = beta, linear in b2, and closes b1's bracket: V'(b-) - beta turns
     negative again above b1, maybe within one geometric step, but above b2.
+    Next to the periodic-zero boundary the window shrinks to a point; one
+    that has collapsed to b1 = b2 in rounding raises DivoptError.
     """
     if params.mu >= 0.0:
         raise OutOfRangeError("solve_unprofitable requires mu < 0")
@@ -464,6 +367,8 @@ def solve_unprofitable(
         b2 = (params.chi * s1 + s1 * gm2 - (roots.pvfactor - params.beta)) / (s1 * roots.alpha)
     kernel = _counted(hybrid_kernel(params, roots))
     b1 = _upper_gap(params, roots, kernel, 0.0, 0.0, b2)
+    if not b1 < b2:
+        raise DivoptError(f"finite liquidation window collapsed: b1 = b2 = {b2!r}")
     diagnostics = {
         "path": "half_line" if b2 == math.inf else "window",
         "n_kernel_evals": kernel.n,
@@ -526,7 +431,7 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     NoBracketError when a root search finds no sign change, OutOfRangeError
     for a liquidation regime at chi = 0 (its optimum b1 -> 0 is no
     Liquidation), and DivoptError when the solved barriers miss their
-    smooth-fit conditions by tol or more.
+    smooth-fit conditions by tol or more, or a finite window has collapsed.
     """
     roots = solve_roots(params)
     regime = classify_regime(params, roots)

@@ -290,8 +290,10 @@ class ValueFunction:
         else:
             self.kinks = (a,) if a > 0.0 else ()
         if b2 < math.inf:
-            # B2: V(b2) is beta (b2 - a_c) - chi + V(a_c), the band's limit
-            b2c = beta * (b2 - a_c) - chi + v_ac - pv * (b2 - a + m1 + C * fa)
+            # B2: V(b2) is beta (b2 - a_c) - chi + V(a_c), the band's limit.
+            # b2 grows as 1/(pv - beta), so (beta - pv) b2 is formed first:
+            # beta b2 - pv b2 would cancel to about ulp(b2)
+            b2c = (beta - pv) * b2 - beta * a_c - chi + v_ac - pv * (m1 + C * fa - a)
             pieces.append(
                 (
                     math.inf,

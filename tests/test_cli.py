@@ -41,6 +41,14 @@ class TestSolveCommand:
         assert "regime: unprofitable_liquidation_finite" in out
         assert "b1 = " in out and "b2 = " in out
 
+    def test_collapsed_window_exits_2(self, capsys):
+        # beta within rounding of beta0: a solver error, not a usage error
+        argv = ("solve --mu -0.9858379173182281 --sigma 1.9151294069235711 "
+                "--chi 0.18269453587279255 --beta 0.7279668211388217 "
+                "--gamma 0.9320279525384421 --delta 0.05641945999010134")
+        assert main(argv.split()) == 2
+        assert "window collapsed" in capsys.readouterr().err
+
     def test_missing_parameter_is_usage_error(self, capsys):
         rc = main(["solve", "--mu", "1", "--chi", "0.01", "--beta", "0.9",
                    "--gamma", "1", "--delta", "0.15"])

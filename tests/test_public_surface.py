@@ -16,9 +16,8 @@ PUBLIC = {
     "Hybrid", "Liquidation", "PeriodicBarrier", "PeriodicZero", "Strategy",
     "ValueFunction", "liquidation_A",
     # solver
-    "Q", "Regime", "SolveReport", "SufficientConditionHints", "a_beta", "beta0",
-    "c_beta_chi", "classify_regime", "cost_ratio_limit", "nu_riskiness", "periodic_b0",
-    "solve", "solve_hybrid", "solve_unprofitable", "sufficient_condition_hints",
+    "Q", "Regime", "SolveReport", "a_beta", "classify_regime", "periodic_b0",
+    "solve", "solve_hybrid", "solve_unprofitable",
     # oracles
     "GridSearchResult", "HJBReport", "PatternAudit", "audit_derivative_pattern",
     "brute_force_hybrid", "check_hjb", "SimConfig", "SimResult", "simulate", "simulate_at",
@@ -29,11 +28,13 @@ REMOVED = [
     "f_d1", "f_d2", "g", "g_d1", "g_d2", "J", "J_d1",
     "HybridCoefficients", "hybrid_coefficients",
     "Dividend", "policy_step", "Q_inv",
+    "beta0", "cost_ratio_limit", "c_beta_chi", "nu_riskiness",
+    "sufficient_condition_hints", "SufficientConditionHints",
 ]
 
 
 def test_all_is_the_agreed_surface():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 36
     assert len(divopt.__all__) == len(set(divopt.__all__))
     assert set(divopt.__all__) == PUBLIC
 
@@ -58,6 +59,7 @@ def test_removed_name_is_gone(name):
         (solver.solve_hybrid, {"l_step0", "y_seed"}),
         (verify.check_hjb, {"kink_window"}),
         (verify.audit_derivative_pattern, {"n_points", "atol"}),
+        (solver.a_beta, {"beta_prime"}),
     ],
 )
 def test_fixed_knobs_are_not_parameters(fn, gone):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from divopt import (
+    DivoptError,
     Hybrid,
     Liquidation,
     ModelParams,
@@ -19,19 +20,15 @@ from divopt import (
     Regime,
     ValueFunction,
     a_beta,
-    beta0,
-    c_beta_chi,
     check_hjb,
     classify_regime,
-    cost_ratio_limit,
     liquidation_A,
-    nu_riskiness,
     periodic_b0,
     solve,
     solve_roots,
     solve_unprofitable,
-    sufficient_condition_hints,
 )
+from divopt.values import periodic_zero
 
 
 def mk(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15):
@@ -54,6 +51,44 @@ def finite_window_draws(seeds):
                 out.append(p)
                 break
     return out
+
+
+# V is compared across a regime boundary on this grid of surplus levels
+X_GRID = np.linspace(0.0, 5.0, 51)
+
+
+def along_cost_ratio(p, beta):
+    """p moved to retained proportion beta with chi/beta held fixed."""
+    return replace(p, beta=beta, chi=p.chi / p.beta * beta)
+
+
+def flip_along_fixed_cost_ratio(p):
+    """Adjacent floats lo < hi: beta0 along p's chi/beta (mu < 0).
+
+    classify_regime gives periodic-zero at lo and the finite window at hi;
+    found by bisecting classify_regime itself between V'(0; pi0), where no
+    window pays, and pv (1 - 1e-12), where one does when chi/beta <
+    -mu/(gamma+delta).
+    """
+    def window(beta):
+        q = along_cost_ratio(p, beta)
+        return classify_regime(q, solve_roots(q)) is Regime.UNPROFITABLE_LIQUIDATION_FINITE
+
+    lo = max(periodic_zero(p, solve_roots(p), 0.0, 1), 1e-12)
+    hi = p.pvfactor * (1.0 - 1e-12)
+    assert not window(lo) and window(hi), p
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        lo, hi = (lo, mid) if window(mid) else (mid, hi)
+
+
+def max_value_gap(p1, rep1, p2, rep2):
+    """max over X_GRID of |V2 - V1| / (1 + |V1|), each V of its own solve."""
+    v1 = ValueFunction(p1, solve_roots(p1), rep1.strategy)(X_GRID)
+    v2 = ValueFunction(p2, solve_roots(p2), rep2.strategy)(X_GRID)
+    return float(np.max(np.abs(v2 - v1) / (1.0 + np.abs(v1))))
 
 
 class TestClassify:
@@ -85,10 +120,20 @@ class TestClassify:
         dear = mk(mu=-1.0, chi=0.9, beta=pv)
         assert classify_regime(dear, solve_roots(dear)) is Regime.UNPROFITABLE_PERIODIC_ZERO
 
-    def test_below_beta0_waits(self, neg_params, neg_roots):
-        b0 = beta0(neg_params, neg_roots)
-        low = mk(mu=-1.0, chi=0.15, beta=0.99 * b0)
-        assert classify_regime(low, solve_roots(low)) is Regime.UNPROFITABLE_PERIODIC_ZERO
+    def test_below_beta0_waits(self, neg_params):
+        # beta0 is the flip along a fixed chi/beta: just below it the business
+        # waits, just above it a window opens, narrow and worth next to nothing
+        lo, hi = flip_along_fixed_cost_ratio(neg_params)
+        assert hi == pytest.approx(0.40456297335040176, rel=1e-14)
+        eps = 1e-9
+        below = along_cost_ratio(neg_params, lo * (1 - eps))
+        above = along_cost_ratio(neg_params, hi * (1 + eps))
+        rep_below, rep_above = solve(below), solve(above)
+        assert rep_below.regime is Regime.UNPROFITABLE_PERIODIC_ZERO
+        assert rep_above.regime is Regime.UNPROFITABLE_LIQUIDATION_FINITE
+        st = rep_above.strategy
+        assert 0.0 < st.b2 - st.b1 < 1e-7, st
+        assert max_value_gap(below, rep_below, above, rep_above) < 1e-9
 
 
 class TestAuxiliaries:
@@ -104,44 +149,30 @@ class TestAuxiliaries:
         vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
         assert float(vf.d1(ab)) == pytest.approx(neg_params.beta, abs=1e-12)
 
-    def test_c_beta_chi_is_payout_indifference(self, neg_params, neg_roots):
-        c = c_beta_chi(neg_params, neg_roots)
-        vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
-        assert float(vf(c)) == pytest.approx(neg_params.beta * c - neg_params.chi, abs=1e-12)
-        assert 0.0 < c < a_beta(neg_params, neg_roots)
-
-    def test_cost_ratio_limit_endpoints(self, neg_params, neg_roots):
-        vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
-        lo = float(vf.d1(0.0))
-        assert cost_ratio_limit(neg_params, neg_roots, lo) == 0.0
-        pv = neg_params.pvfactor
-        near = cost_ratio_limit(neg_params, neg_roots, pv - 1e-9)
-        lim = -neg_params.mu / (neg_params.gamma + neg_params.delta)
-        assert near == pytest.approx(lim, rel=1e-6)
-
-    def test_cost_ratio_limit_increasing(self, neg_params, neg_roots):
-        vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
-        lo = float(vf.d1(0.0))
-        grid = np.linspace(lo + 1e-6, neg_params.pvfactor - 1e-6, 100)
-        vals = [cost_ratio_limit(neg_params, neg_roots, b) for b in grid]
-        assert np.all(np.diff(vals) > 0)
-
-    def test_beta0_inverts_the_limit(self, neg_params, neg_roots):
-        b0 = beta0(neg_params, neg_roots)
-        assert b0 == pytest.approx(0.4045629733504015, rel=1e-8)
-        t = cost_ratio_limit(neg_params, neg_roots, b0)
-        assert t == pytest.approx(neg_params.chi / neg_params.beta, abs=1e-10)
+    def test_beta0_inverts_the_limit(self, neg_params):
+        # at the flip waiting and liquidating at the slope-match level net
+        # the same: V(a_beta; pi0) = beta a_beta - chi
+        lo, hi = flip_along_fixed_cost_ratio(neg_params)
+        for beta in (lo, hi):
+            p = along_cost_ratio(neg_params, beta)
+            r = solve_roots(p)
+            ab = a_beta(p, r)
+            assert periodic_zero(p, r, ab) == pytest.approx(beta * ab - p.chi, abs=1e-14)
 
     def test_beta0_out_of_range(self):
-        p = mk(mu=-1.0, chi=0.9, beta=0.7)  # chi/beta above the reachable limit
-        with pytest.raises(OutOfRangeError):
-            beta0(p, solve_roots(p))
+        # chi/beta above -mu/(gamma+delta): no window at any beta <= pv
+        p = mk(mu=-1.0, chi=0.9, beta=0.7)
+        pv = p.pvfactor
+        for beta in np.linspace(0.01, pv, 50):
+            q = along_cost_ratio(p, beta)
+            assert classify_regime(q, solve_roots(q)) is Regime.UNPROFITABLE_PERIODIC_ZERO
 
     def test_domain_errors(self, pos_params, pos_roots):
         with pytest.raises(OutOfRangeError):
             a_beta(pos_params, pos_roots)
+        p = mk(mu=-1.0, chi=0.15, beta=0.95)  # beta above pv: no slope-match level
         with pytest.raises(OutOfRangeError):
-            cost_ratio_limit(pos_params, pos_roots, 0.5)
+            a_beta(p, solve_roots(p))
 
 
 class TestPeriodicB0:
@@ -225,12 +256,8 @@ class TestHybridSolve:
         assert check_hjb(p, solve_roots(p), st).passed
 
     def test_boundary_case_high_riskiness(self):
-        # both hint thresholds met: solver lands on a_p = a_c = 0
-        p = mk(mu=0.05, sigma=3.0, beta=0.95)
-        r = solve_roots(p)
-        hints = sufficient_condition_hints(p, r)
-        assert hints.predict_ap_zero and hints.predict_ac_zero
-        rep = solve(p)
+        # high riskiness (sigma/mu)^2 (gamma+delta): both lower barriers collapse
+        rep = solve(mk(mu=0.05, sigma=3.0, beta=0.95))
         assert rep.boundary["ap_zero"] and rep.boundary["ac_equals_ap"]
         assert rep.strategy.a_p == 0.0 and rep.strategy.a_c == 0.0
 
@@ -244,21 +271,40 @@ class TestUnprofitableSolve:
         assert st.b2 == pytest.approx(2.6622431975813, rel=1e-6)
 
     def test_ordering_chain(self, neg_params):
-        # b1's bracket runs from chi/beta to b2, with no bracket from c or
-        # a_beta. In the narrow window (1.556, 1.645) V'(b-) - beta is
-        # positive on too short an interval for a geometric bracket to meet.
+        # b1's bracket runs from chi/beta to b2, with no bracket from a_beta.
+        # In the narrow window (1.556, 1.645) V'(b-) - beta is positive on too
+        # short an interval for a geometric bracket to meet. A(b1) > 0: b1
+        # lies above the point where liquidating now and waiting net the same
         narrow = ModelParams(-1.8529368889501905, 0.38214871744125567, 0.3466203784299663,
                              0.5313600257729486, 0.978599794517444, 0.2312938427125559)
         for p in [neg_params, narrow] + finite_window_draws(range(12)):
             r = solve_roots(p)
             st = solve(p).strategy
-            c, ab = c_beta_chi(p, r), a_beta(p, r)
-            assert 0 < c < st.b1 < ab < st.b2 < math.inf, p
+            assert liquidation_A(p, r, st.b1) > 0.0, p
+            assert 0 < st.b1 < a_beta(p, r) < st.b2 < math.inf, p
 
     def test_b2_linear_equation_is_exact(self, neg_params, neg_roots):
         st = solve(neg_params).strategy
         vf = ValueFunction(neg_params, neg_roots, st)
         assert float(vf.d1(st.b2, side="right")) == pytest.approx(neg_params.beta, abs=1e-12)
+
+    def test_window_meets_its_gate_as_beta_rises_to_pv(self):
+        # b2 grows as 1/(pv - beta); its coefficient B2 must not cancel beta b2
+        # against pv b2, which left |V'(b2+) - beta| at about ulp(b2)
+        pv = 1.0 / 1.15
+        for u in range(-4, -15, -1):
+            rep = solve(mk(mu=-1.0, chi=0.15, beta=pv * (1.0 - 10.0**u)))
+            assert rep.regime is Regime.UNPROFITABLE_LIQUIDATION_FINITE, u
+            assert rep.strategy.b2 > 10.0 ** (-u - 1), u
+            assert rep.residuals["vprime_b2"] < 1e-14, (u, rep.residuals)
+
+    def test_collapsed_window_is_a_typed_error(self):
+        # beta within rounding of beta0: the b1 search meets b2
+        p = ModelParams(-0.9858379173182281, 1.9151294069235711, 0.18269453587279255,
+                        0.7279668211388217, 0.9320279525384421, 0.05641945999010134)
+        assert classify_regime(p, solve_roots(p)) is Regime.UNPROFITABLE_LIQUIDATION_FINITE
+        with pytest.raises(DivoptError, match="window collapsed"):
+            solve(p)
 
     def test_b1_smooth_fit(self, neg_params, neg_roots):
         st = solve(neg_params).strategy
@@ -309,35 +355,6 @@ class TestUnprofitableSolve:
                 solve(p)
 
 
-class TestHints:
-    def test_reference_point_predicts_interior(self, pos_params, pos_roots):
-        h = sufficient_condition_hints(pos_params, pos_roots)
-        assert not h.predict_ap_zero and not h.predict_ac_zero
-        assert h.nu == pytest.approx((0.3 / 1.0) ** 2 * 1.15)
-
-    def test_high_riskiness_predicts_boundary(self):
-        p = mk(mu=0.05, sigma=3.0, beta=0.95)
-        h = sufficient_condition_hints(p, solve_roots(p))
-        assert h.predict_ap_zero and h.predict_ac_zero
-        assert h.nu > 1000
-
-    def test_nu_undefined_at_zero_drift(self):
-        with pytest.raises(OutOfRangeError):
-            nu_riskiness(mk(mu=0.0))
-
-    def test_predictions_consistent_with_solver_on_sweep(self):
-        # advisory hints never contradict the solved boundary flags
-        for sigma in (0.2, 0.5, 1.0, 2.0, 4.0):
-            p = mk(mu=0.5, sigma=sigma, beta=0.92, chi=0.02)
-            r = solve_roots(p)
-            h = sufficient_condition_hints(p, r)
-            rep = solve(p)
-            if h.predict_ap_zero:
-                assert rep.boundary["ap_zero"]
-            if h.predict_ac_zero:
-                assert rep.boundary["ac_equals_ap"]
-
-
 class TestSolveReports:
     def test_residuals_below_tolerance(self, pos_params, neg_params):
         for p in (pos_params, neg_params):
@@ -355,7 +372,7 @@ class TestSolveReports:
             assert isinstance(solve(p).strategy, cls)
 
     def test_tiny_fixed_cost_hybrid_solves(self):
-        # b - a_c falls about as sqrt(chi), below any fixed floor for the
+        # b - a_c falls about as chi^(1/3), below any fixed floor for the
         # upper-gap bracket; it starts from chi/beta instead
         for p in (mk(), mk(mu=0.05, sigma=3.0, beta=0.95)):
             gaps = []
@@ -414,6 +431,81 @@ class TestThresholdApproach:
         sts = [solve(mk(beta=pv + eps)).strategy for eps in (6e-3, 3e-3, 1.5e-3)]
         assert sts[0].a_c < sts[1].a_c < sts[2].a_c
         assert sts[0].b < sts[1].b < sts[2].b
+
+
+def box_draws(n, seed):
+    """n points of criterion 1's box, chi >= 1e-3 (chi -> 0 is its own limit)."""
+    rng = np.random.default_rng(seed)
+    return [
+        ModelParams(mu=rng.uniform(-2.0, 2.0), sigma=rng.uniform(0.1, 2.0),
+                    chi=rng.uniform(1e-3, 0.4), beta=rng.uniform(0.05, 1.0),
+                    gamma=rng.uniform(0.2, 3.0), delta=rng.uniform(0.02, 0.8))
+        for _ in range(n)
+    ]
+
+
+def boundary_crossings(p, eps):
+    """p's crossings of each regime boundary at relative distance eps.
+
+    Yields (name, below, above, gap, regimes, at): the points either side,
+    their distance in the crossing parameter, the regimes the closed-form
+    thresholds give them, and the points on the boundary itself. The drift
+    keeps p's size for both signs at beta = pv; with mu < 0 the periodic-zero
+    or window side there depends on the side of the corner chi = beta (-mu) /
+    (gamma+delta). beta0 is crossed along p's chi/beta with mu < 0, where
+    that ratio is below -mu/(gamma+delta).
+    """
+    pv, gd, m = p.pvfactor, p.gamma + p.delta, abs(p.mu)
+    R = Regime
+    pair = ((R.UNPROFITABLE_LIQUIDATION_HALF, R.PROFITABLE_HYBRID) if p.beta > pv
+            else (R.UNPROFITABLE_PERIODIC_ZERO, R.PROFITABLE_PERIODIC))
+    yield "mu = 0", replace(p, mu=-eps), replace(p, mu=eps), 2 * eps, pair, [replace(p, mu=0.0)]
+    lo, hi = pv * (1 - eps), pv * (1 + eps)
+    q = replace(p, mu=m)
+    yield ("beta = pv, mu > 0", replace(q, beta=lo), replace(q, beta=hi), hi - lo,
+           (R.PROFITABLE_PERIODIC, R.PROFITABLE_HYBRID), [replace(q, beta=pv)])
+    # below pv the window pays only while chi < beta (-mu)/(gamma+delta)
+    q = replace(p, mu=-m)
+    wait = q.chi >= lo * m / gd
+    below = R.UNPROFITABLE_PERIODIC_ZERO if wait else R.UNPROFITABLE_LIQUIDATION_FINITE
+    yield ("beta = pv, mu < 0", replace(q, beta=lo), replace(q, beta=hi), hi - lo,
+           (below, R.UNPROFITABLE_LIQUIDATION_HALF), [replace(q, beta=pv)])
+    if q.chi / q.beta < m / gd:
+        lo, hi = flip_along_fixed_cost_ratio(q)
+        b_lo, b_hi = lo * (1 - eps), hi * (1 + eps)
+        yield ("beta = beta0", along_cost_ratio(q, b_lo), along_cost_ratio(q, b_hi), b_hi - b_lo,
+               (R.UNPROFITABLE_PERIODIC_ZERO, R.UNPROFITABLE_LIQUIDATION_FINITE),
+               [along_cost_ratio(q, lo), along_cost_ratio(q, hi)])
+
+
+class TestRegimeBoundaries:
+    """The paper's partition of the parameters, checked at its boundaries.
+
+    Just either side of each boundary the two solves land in the regimes the
+    thresholds name, each inside its 1e-10 gate, and V on a fixed grid moves
+    by at most 10 times the step across: V is continuous there, so a flip in
+    the wrong place would show as a jump. On the boundary itself a solve
+    gives a strategy or a typed error.
+    """
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_criterion_1_box(self, eps):
+        crossed = {}
+        for p in box_draws(300, 5):
+            for name, below, above, gap, regimes, at in boundary_crossings(p, eps):
+                reps = solve(below), solve(above)
+                assert tuple(r.regime for r in reps) == regimes, (name, p)
+                for r in reps:
+                    assert max(r.residuals.values(), default=0.0) < 1e-10, (name, p, r.residuals)
+                jump = max_value_gap(below, reps[0], above, reps[1])
+                assert jump <= 10.0 * gap, (name, p, jump, gap)
+                for q in at:
+                    try:
+                        solve(q)
+                    except DivoptError:
+                        pass
+                crossed[name] = crossed.get(name, 0) + 1
+        assert crossed["beta = beta0"] > 100 and len(crossed) == 4, crossed
 
 
 class TestLargeBarriers:

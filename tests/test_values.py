@@ -12,7 +12,6 @@ from divopt import (
     PeriodicBarrier,
     PeriodicZero,
     ValueFunction,
-    c_beta_chi,
     f,
     liquidation_A,
     solve,
@@ -289,8 +288,14 @@ class TestPeriodicBarrierReduction:
 
 class TestLiquidationPieces:
     def test_A_vanishes_at_indifference_point(self, neg_params, neg_roots):
-        c = c_beta_chi(neg_params, neg_roots)
-        assert liquidation_A(neg_params, neg_roots, c) == pytest.approx(0.0, abs=1e-10)
+        # A(x) g(x) = beta x - chi - V(x; pi0), so A vanishes exactly where
+        # liquidating now and waiting for the next decision time net the same
+        p, r = neg_params, neg_roots
+        xs = np.linspace(0.05, 3.0, 60)
+        a_g = [liquidation_A(p, r, x) * (math.exp(r.r1 * x) - math.exp(r.s1 * x)) for x in xs]
+        net = p.beta * xs - p.chi - ValueFunction(p, r, PeriodicZero())(xs)
+        assert np.allclose(a_g, net, rtol=1e-12, atol=1e-14)
+        assert np.any(net < 0.0) and np.any(net > 0.0)
 
     def test_A_negative_at_minimum_gap(self):
         # mu < 0 and beta <= gamma/(gamma+delta): paying the bare minimum loses
