@@ -18,7 +18,6 @@ from .errors import (
 )
 from .simulate import SimConfig, SimResult, simulate, simulate_at
 from .solver import (
-    Q,
     Regime,
     SolveReport,
     a_beta,
@@ -55,7 +54,6 @@ __all__ = [
     "PatternAudit",
     "PeriodicBarrier",
     "PeriodicZero",
-    "Q",
     "Regime",
     "Roots",
     "SimConfig",

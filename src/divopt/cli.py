@@ -25,8 +25,7 @@ import numpy as np
 from .core import ModelParams, solve_roots
 from .errors import ConfigError, DivoptError
 from .simulate import SimConfig, simulate
-from .solver import SolveReport, solve
-from .strategies import Hybrid, Liquidation, PeriodicBarrier
+from .solver import Regime, SolveReport, solve
 from .values import ValueFunction
 from .verify import audit_derivative_pattern, check_hjb
 
@@ -68,6 +67,18 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(v := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
+def _positive(text: str) -> float:
+    if not (v := _finite(text)) > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="divopt",
@@ -82,14 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in _PARAM_KEYS:
             p.add_argument(f"--{key}", type=float)
         p.add_argument("--config", help="key=value file")
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
+        p.add_argument("--tol", type=_positive, default=1e-10, help="solver tolerance")
         p.add_argument("--out", help="CSV output path")
         return p
 
     command("solve", cmd_solve, "classify regime and compute barriers")
 
     p_value = command("value", cmd_value, "tabulate V, V', V'' of the solved strategy")
-    p_value.add_argument("--x-max", type=float, default=10.0)
+    p_value.add_argument("--x-max", type=_positive, default=10.0)
     p_value.add_argument("--points", type=int, default=200)
 
     p_sim = command("simulate", cmd_simulate, "Monte Carlo EPV of the solved strategy")
@@ -100,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = command("sweep", cmd_sweep, "solve along one parameter axis, emit CSV")
     p_sweep.add_argument("--sweep", choices=_PARAM_KEYS)
-    p_sweep.add_argument("--from", dest="from_", type=float)
-    p_sweep.add_argument("--to", type=float)
+    p_sweep.add_argument("--from", dest="from_", type=_finite)
+    p_sweep.add_argument("--to", type=_finite)
     p_sweep.add_argument("--count", type=int, default=21)
 
     command("verify", cmd_verify, "optimality checks on the solved strategy")
@@ -132,13 +143,13 @@ def _solved(args: argparse.Namespace, check=lambda params: None):
 
 def _barrier_cells(report: SolveReport) -> dict[str, float | None]:
     cells: dict[str, float | None] = dict.fromkeys(_BARRIER_KEYS)
-    st = report.strategy
-    if isinstance(st, Hybrid):
+    st, regime = report.strategy, report.regime
+    if regime is Regime.PROFITABLE_HYBRID:
         cells.update(a_p=st.a_p, a_c=st.a_c, b=st.b)
-    elif isinstance(st, Liquidation):
-        cells.update(b1=st.b1, b2=st.b2)
-    elif isinstance(st, PeriodicBarrier):
+    elif regime is Regime.PROFITABLE_PERIODIC:
         cells.update(b0=st.a_p)
+    elif regime is not Regime.UNPROFITABLE_PERIODIC_ZERO:
+        cells.update(b1=st.b, b2=st.b2)
     return cells
 
 
@@ -175,8 +186,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    if args.points < 2 or args.x_max <= 0:
-        raise ConfigError("need --points >= 2 and --x-max > 0")
+    if args.points < 2:
+        raise ConfigError("need --points >= 2")
     params, roots, report = _solved(args)
     vf = ValueFunction(params, roots, report.strategy)
     xs = np.linspace(0.0, args.x_max, args.points)
@@ -238,7 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"hjb_max_payment_residual={_fmt(hjb.max_payment_residual)}")
     print(f"hjb_points={hjb.n_points}")
     ok = hjb.passed
-    if isinstance(report.strategy, Hybrid):
+    if report.regime is Regime.PROFITABLE_HYBRID:
         audit = audit_derivative_pattern(params, roots, report.strategy)
         print(f"pattern_branch={audit.branch}")
         print(f"pattern_violations={len(audit.violations)}")

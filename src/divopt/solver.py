@@ -11,14 +11,20 @@ how the retained proportion beta compares with pvfactor = gamma/(gamma+delta)
                              enough that a finite liquidation window
                              (b1, b2) beats waiting
 
-Hybrid barriers solve the smooth-fit system V'(a_p) = 1, V'(a_c) = beta,
-V'(b-) = beta. For a lower barrier a = a_p and gap l = a_c - a_p, a
-bracketed search gives the upper gap y = b - a_c with V'(b-) = beta
-(_upper_gap). Around it, the two lower conditions are a system in (a, l),
-solved in one of four ways, tried in this order: a = l = 0, accepted when
-V'(0) <= beta; at beta = 1 only, and then always accepted, l = 0 with a
-bracketed search for a; a = 0 with a bracketed search for l, accepted when
-V'(0) <= 1; and otherwise a damped Newton in (a_c, log l).
+Each optimum is a point (a_p, a_c, b, b2) of one strategy family, solved
+through the one hybrid kernel and gated (_report) by one smooth-fit rule
+on its levels: V'(a_p) = 1, or V'(0) <= 1 when a_p = 0; where b is finite,
+V'(a_c) = beta, or V'(0) <= beta when a_c = 0, and V'(b-) = beta; where
+b2 is finite, V'(b2+) = beta. So a periodic barrier b0 solves V'(b0) = 1
+on [0, a_bar], or is 0 when V'(0) <= 1.
+
+For a hybrid with lower barrier a = a_p and gap l = a_c - a_p, a bracketed
+search gives the upper gap y = b - a_c with V'(b-) = beta (_upper_gap).
+Around it, the two lower conditions are a system in (a, l), solved in one
+of four ways, tried in this order: a = l = 0, accepted when V'(0) <= beta;
+at beta = 1 only, and then always accepted, l = 0 with a bracketed search
+for a; a = 0 with a bracketed search for l, accepted when V'(0) <= 1; and
+otherwise a damped Newton in (a_c, log l).
 
 For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
 is Hybrid(0, 0, b1) below b2, so b1 is the upper-gap search at a = l = 0,
@@ -33,7 +39,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ModelParams, Roots, f, solve_roots
+import numpy as np
+
+from .core import ModelParams, Roots, solve_roots
 from .errors import DivoptError, OutOfRangeError
 # smallest_root_scan is unused here but kept importable as solver.smallest_root_scan,
 # the name the benchmark's tracer wraps
@@ -54,12 +62,13 @@ class Regime(enum.Enum):
 class SolveReport:
     """A solved strategy, its smooth-fit residuals and how the solve went.
 
-    diagnostics has fixed keys: path, the route taken (hybrid: ap_ac_zero,
-    ap_zero, ac_equals_ap or interior; liquidation: window or half_line;
-    periodic: b0_zero or q_target; periodic-zero: closed_form);
-    n_kernel_evals, the hybrid-kernel calls; and n_iters, the evaluations
-    of the outermost equations (upper-gap searches for a hybrid, V'(b1-) =
-    beta for a liquidation, the Q equation for a periodic barrier).
+    residuals has a key per condition its levels bind: vprime_ap, vprime_ac,
+    vprime_b, vprime_b2. diagnostics has fixed keys: path, the route taken
+    (hybrid: ap_ac_zero, ap_zero, ac_equals_ap or interior; liquidation:
+    window or half_line; periodic: b0_zero or smooth_fit; periodic-zero:
+    closed_form); n_kernel_evals, the hybrid-kernel calls; and n_iters, the
+    evaluations of the outermost equations (upper-gap searches for a hybrid,
+    V'(b1-) = beta for a liquidation, V'(b0) = 1 for a periodic barrier).
     """
 
     regime: Regime
@@ -82,18 +91,7 @@ def _counted(fn):
 
 
 # ---------------------------------------------------------------------------
-# auxiliary quantities for classification and limits
-
-
-def Q(params: ModelParams, roots: Roots, a: float) -> float:
-    """Q(a) = 1 - (f(a)/f'(a)) / (mu/delta), decreasing from 1 to 0 on [0, a_bar].
-
-    Maps the periodic lower barrier to the unit interval; only defined for
-    mu > 0 (for mu <= 0 the support of a collapses to {0}).
-    """
-    if params.mu <= 0.0:
-        raise OutOfRangeError("Q requires mu > 0")
-    return 1.0 - (f(roots, a) / f(roots, a, 1)) * (params.delta / params.mu)
+# regime classification
 
 
 def a_beta(params: ModelParams, roots: Roots) -> float:
@@ -113,10 +111,6 @@ def a_beta(params: ModelParams, roots: Roots) -> float:
             f"beta must lie in (V'(0; pi0), pv) = ({lo:.6g}, {pv:.6g}), got {beta}"
         )
     return math.log((pv - beta) / (k * (-roots.s1))) / roots.s1
-
-
-# ---------------------------------------------------------------------------
-# regime classification
 
 
 def classify_regime(params: ModelParams, roots: Roots) -> Regime:
@@ -148,23 +142,22 @@ def classify_regime(params: ModelParams, roots: Roots) -> Regime:
 
 
 def periodic_b0(params: ModelParams, roots: Roots) -> float:
-    """Optimal pure-periodic barrier.
+    """Optimal pure-periodic barrier b0, the smooth fit of PeriodicBarrier(b0).
 
-    Zero when (-s1/r1) pv <= 1; otherwise the unique level in [0, a_bar]
-    where Q hits the target q* = s1 (delta/(gamma+delta)) / (r1 + s1).
+    Zero when V'(0) <= 1; otherwise the unique level in [0, a_bar] with
+    V'(b0) = 1: the hybrid kernel's a-search at l = 0 with b at infinity.
     """
     return _periodic_b0(params, roots)[0]
 
 
 def _periodic_b0(params: ModelParams, roots: Roots) -> tuple[float, int]:
-    """periodic_b0 and the number of evaluations of Q it took."""
-    pv = roots.pvfactor
-    if (-roots.s1 / roots.r1) * pv <= 1.0:
-        return 0.0, 0
-    gd = params.gamma + params.delta
-    q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
-    q_gap = _counted(lambda a: Q(params, roots, a) - q_star)
-    return bisect_secant(q_gap, 0.0, roots.a_bar), q_gap.n
+    """periodic_b0 and the number of kernel calls it took."""
+    kernel = _counted(hybrid_kernel(params, roots))
+    slope_gap = lambda a: kernel(a, 0.0, math.inf)[0] - 1.0
+    g0 = slope_gap(0.0)
+    if g0 <= 0.0:
+        return 0.0, kernel.n
+    return bisect_secant(slope_gap, 0.0, roots.a_bar, g0), kernel.n
 
 
 # ---------------------------------------------------------------------------
@@ -389,34 +382,24 @@ def _report(
     tol: float,
     diagnostics: dict[str, Any],
 ) -> SolveReport:
-    """The solved strategy's smooth-fit residuals and boundary flags, gated at tol."""
+    """The strategy's residuals by the smooth-fit rule on its levels (module
+    docstring) and its boundary flags, gated at tol."""
     beta = params.beta
-    residuals: dict[str, float] = {}
-    boundary: dict[str, bool] = {}
-    if isinstance(strategy, PeriodicBarrier):
-        boundary["b0_zero"] = strategy.a_p == 0.0
-        if strategy.a_p > 0.0:
-            gd = params.gamma + params.delta
-            q_star = roots.s1 * (params.delta / gd) / (roots.r1 + roots.s1)
-            residuals["periodic_target"] = abs(Q(params, roots, strategy.a_p) - q_star)
-    elif isinstance(strategy, Hybrid):
-        vf = ValueFunction(params, roots, strategy)
-        a, a_c = strategy.a_p, strategy.a_c
-        residuals["vprime_b"] = abs(float(vf.d1(strategy.b, side="left")) - beta)
+    a, a_c, b, b2 = strategy.a_p, strategy.a_c, strategy.b, strategy.b2
+    vf = ValueFunction(params, roots, strategy)
+    # V'(0), V'(a_p), V'(a_c), V'(b-); at b = inf the last is unused
+    vp0, vp_a, vp_ac, vp_b = vf.d1(np.array([0.0, a, a_c, b])).tolist()
+    residuals = {"vprime_ap": abs(vp_a - 1.0) if a > 0.0 else max(0.0, vp0 - 1.0)}
+    if b < math.inf:
+        residuals["vprime_ac"] = abs(vp_ac - beta) if a_c > 0.0 else max(0.0, vp0 - beta)
+        residuals["vprime_b"] = abs(vp_b - beta)
+    if b2 < math.inf:
+        residuals["vprime_b2"] = abs(float(vf.d1(b2, side="right")) - beta)
+    boundary = {}
+    if regime is Regime.PROFITABLE_PERIODIC:
+        boundary = {"b0_zero": a == 0.0}
+    elif regime is Regime.PROFITABLE_HYBRID:
         boundary = {"ap_zero": a == 0.0, "ac_equals_ap": a_c == a}
-        if a_c > 0.0:
-            residuals["vprime_ac"] = abs(float(vf.d1(a_c)) - beta)
-        else:
-            residuals["vprime_ac"] = max(0.0, float(vf.d1(0.0)) - beta)
-        if a > 0.0:
-            residuals["vprime_ap"] = abs(float(vf.d1(a)) - 1.0)
-        else:
-            residuals["vprime_ap"] = max(0.0, float(vf.d1(0.0)) - 1.0)
-    elif isinstance(strategy, Liquidation):
-        vf = ValueFunction(params, roots, strategy)
-        residuals["vprime_b1"] = abs(float(vf.d1(strategy.b1, side="left")) - beta)
-        if strategy.b2 < math.inf:
-            residuals["vprime_b2"] = abs(float(vf.d1(strategy.b2, side="right")) - beta)
     bad = {k: v for k, v in residuals.items() if not v < tol}
     if bad:
         raise DivoptError(f"solver residuals exceed tol={tol}: {bad}")
@@ -436,12 +419,9 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     roots = solve_roots(params)
     regime = classify_regime(params, roots)
     if regime is Regime.PROFITABLE_PERIODIC:
-        b0, n_iters = _periodic_b0(params, roots)
-        diagnostics = {
-            "path": "q_target" if b0 > 0.0 else "b0_zero",
-            "n_kernel_evals": 0,
-            "n_iters": n_iters,
-        }
+        b0, n = _periodic_b0(params, roots)
+        diagnostics = {"path": "smooth_fit" if b0 > 0.0 else "b0_zero",
+                       "n_kernel_evals": n, "n_iters": n}
         return _report(regime, params, roots, PeriodicBarrier(b0), tol, diagnostics)
     if regime is Regime.PROFITABLE_HYBRID:
         return solve_hybrid(params, roots, tol)

@@ -91,6 +91,16 @@ class TestSolveCommand:
     ("simulate", ["--paths", "3"]),  # odd, with antithetic sampling
     ("simulate", ["--horizon", "nan"]),
     ("simulate", ["--horizon", "1"]),  # truncates above the tolerance at delta = 0.15
+    # a tolerance that is not a finite number > 0 would reject exact zeros or
+    # switch the residual gate off; a non-finite grid or sweep end is no grid
+    ("solve", ["--tol", "nan"]),
+    ("solve", ["--tol", "-1"]),
+    ("solve", ["--tol", "0"]),
+    ("solve", ["--tol", "inf"]),
+    ("value", ["--x-max", "nan"]),
+    ("value", ["--x-max", "inf"]),
+    ("sweep", ["--sweep", "chi", "--from", "nan", "--to", "0.1"]),
+    ("sweep", ["--sweep", "chi", "--from", "0.001", "--to", "inf"]),
 ])
 def test_usage_error_reported_before_the_solve(command, options, monkeypatch, capsys):
     # as at chi = 0, where the hybrid solve raises NoBracketError

@@ -16,19 +16,20 @@ from divopt import (
     OutOfRangeError,
     PeriodicBarrier,
     PeriodicZero,
-    Q,
     Regime,
     ValueFunction,
     a_beta,
     check_hjb,
     classify_regime,
+    f,
     liquidation_A,
     periodic_b0,
     solve,
     solve_roots,
     solve_unprofitable,
 )
-from divopt.values import periodic_zero
+from divopt import solver
+from divopt.values import hybrid_kernel, periodic_zero
 
 
 def mk(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15):
@@ -137,13 +138,6 @@ class TestClassify:
 
 
 class TestAuxiliaries:
-    def test_Q_decreasing_onto_unit_interval(self, pos_params, pos_roots):
-        a = np.linspace(0.0, pos_roots.a_bar, 64)
-        q = np.array([Q(pos_params, pos_roots, v) for v in a])
-        assert q[0] == pytest.approx(1.0)
-        assert q[-1] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.diff(q) < 0)
-
     def test_a_beta_matches_slope(self, neg_params, neg_roots):
         ab = a_beta(neg_params, neg_roots)
         vf = ValueFunction(neg_params, neg_roots, PeriodicZero())
@@ -183,12 +177,28 @@ class TestPeriodicB0:
         assert (-r.s1 / r.r1) * r.pvfactor <= 1.0
         assert periodic_b0(p, r) == 0.0
 
-    def test_inverse_residual(self, pos_params, pos_roots):
-        b0 = periodic_b0(pos_params, pos_roots)
-        assert b0 > 0
-        gd = pos_params.gamma + pos_params.delta
-        q_star = pos_roots.s1 * (pos_params.delta / gd) / (pos_roots.r1 + pos_roots.s1)
-        assert Q(pos_params, pos_roots, b0) == pytest.approx(q_star, abs=1e-10)
+    def test_kernel_b0_meets_the_papers_target(self):
+        # the paper's own closed form for the periodic barrier, an oracle
+        # independent of the kernel: Q(a) = 1 - (f(a)/f'(a)) (delta/mu) falls
+        # from 1 to 0 on [0, a_bar], and b0 > 0 solves Q(b0) = q*
+        def Q(p, r, a):
+            return 1.0 - f(r, a) / f(r, a, 1) * (p.delta / p.mu)
+
+        n_zero = n_target = 0
+        for p in box_draws(600, 19):
+            r = solve_roots(p)
+            if classify_regime(p, r) is not Regime.PROFITABLE_PERIODIC:
+                continue
+            b0 = periodic_b0(p, r)
+            if (-r.s1 / r.r1) * r.pvfactor <= 1.0:
+                assert b0 == 0.0, p
+                n_zero += 1
+            else:
+                q_star = r.s1 * (p.delta / (p.gamma + p.delta)) / (r.r1 + r.s1)
+                assert 0.0 < b0 < r.a_bar, p
+                assert Q(p, r, b0) == pytest.approx(q_star, abs=1e-10), p
+                n_target += 1
+        assert n_zero > 10 and n_target > 50, (n_zero, n_target)
 
     def test_solve_dispatch_low_beta(self):
         rep = solve(mk(beta=0.5))
@@ -328,7 +338,7 @@ class TestUnprofitableSolve:
         rep = solve(p)
         assert rep.regime is Regime.UNPROFITABLE_PERIODIC_ZERO
         assert isinstance(rep.strategy, PeriodicZero)
-        assert rep.residuals == {}
+        assert rep.residuals == {"vprime_ap": 0.0}
 
     def test_requires_negative_drift(self, pos_params, pos_roots):
         with pytest.raises(OutOfRangeError):
@@ -371,6 +381,28 @@ class TestSolveReports:
         for p, cls in cases:
             assert isinstance(solve(p).strategy, cls)
 
+    def test_equal_levels_meet_equal_gates(self, pos_params, pos_roots):
+        # the gate reads the levels, not the constructor or the regime: at
+        # POS, (0, 0, y, inf) with y on V'(y-) = beta has V'(0) far above
+        # beta, and (0, 0, inf, inf) at beta = 0.5 has V'(0) above 1
+        kernel = hybrid_kernel(pos_params, pos_roots)
+        y = solver._upper_gap(pos_params, pos_roots, kernel, 0.0, 0.0)
+        p = mk(beta=0.5)
+        R = Regime
+        pairs = [
+            (pos_params, (R.PROFITABLE_HYBRID, Hybrid(0.0, 0.0, y)),
+             (R.UNPROFITABLE_LIQUIDATION_HALF, Liquidation(y, math.inf))),
+            (p, (R.PROFITABLE_PERIODIC, PeriodicBarrier(0.0)),
+             (R.UNPROFITABLE_PERIODIC_ZERO, PeriodicZero())),
+        ]
+        for q, *cases in pairs:
+            messages = []
+            for regime, st in cases:
+                with pytest.raises(DivoptError, match="residuals exceed") as exc:
+                    solver._report(regime, q, solve_roots(q), st, 1e-10, {})
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1], messages
+
     def test_tiny_fixed_cost_hybrid_solves(self):
         # b - a_c falls about as chi^(1/3), below any fixed floor for the
         # upper-gap bracket; it starts from chi/beta instead
@@ -385,16 +417,20 @@ class TestSolveReports:
 
 class TestDiagnostics:
     def test_schema_in_every_regime(self):
+        # residuals are named by level, one per condition the levels bind
+        periodic, hybrid = {"vprime_ap"}, {"vprime_ap", "vprime_ac", "vprime_b"}
         cases = [
-            (mk(beta=0.5), {"q_target"}, False),
-            (mk(mu=0.1, sigma=2.0, beta=0.5), {"b0_zero"}, False),
-            (mk(), HYBRID_PATHS, True),
-            (mk(mu=-1.0, chi=0.15, beta=0.7), {"window"}, True),
-            (mk(mu=-1.0, chi=0.15, beta=0.95), {"half_line"}, True),
-            (mk(mu=-1.0, chi=0.9, beta=0.7), {"closed_form"}, False),
+            (mk(beta=0.5), {"smooth_fit"}, True, periodic),
+            (mk(mu=0.1, sigma=2.0, beta=0.5), {"b0_zero"}, True, periodic),
+            (mk(), HYBRID_PATHS, True, hybrid),
+            (mk(mu=-1.0, chi=0.15, beta=0.7), {"window"}, True, hybrid | {"vprime_b2"}),
+            (mk(mu=-1.0, chi=0.15, beta=0.95), {"half_line"}, True, hybrid),
+            (mk(mu=-1.0, chi=0.9, beta=0.7), {"closed_form"}, False, periodic),
         ]
-        for p, paths, uses_kernel in cases:
-            d = solve(p).diagnostics
+        for p, paths, uses_kernel, residuals in cases:
+            rep = solve(p)
+            d = rep.diagnostics
+            assert set(rep.residuals) == residuals, (p, rep.residuals)
             assert set(d) == {"path", "n_kernel_evals", "n_iters"}, p
             assert d["path"] in paths, (p, d)
             assert all(type(d[k]) is int and d[k] >= 0 for k in ("n_kernel_evals", "n_iters"))
