@@ -2,7 +2,8 @@
 
 OutOfRangeError covers arguments outside a function's domain, among them
 a lower barrier a so far out that f(a) or f'(a) leaves the floating-point
-range, and an optimum no strategy type can represent (b1 -> 0 at chi = 0).
+range, and an optimum no strategy type can represent (at chi = 0, a
+hybrid's b -> a_c and a liquidation's b1 -> 0).
 Otherwise the hybrid closed form evaluates only exponentials at most 1,
 so no overflow guard is needed.
 """

@@ -18,13 +18,13 @@ V'(a_c) = beta, or V'(0) <= beta when a_c = 0, and V'(b-) = beta; where
 b2 is finite, V'(b2+) = beta. So a periodic barrier b0 solves V'(b0) = 1
 on [0, a_bar], or is 0 when V'(0) <= 1.
 
-For a hybrid with lower barrier a = a_p and gap l = a_c - a_p, a bracketed
-search gives the upper gap y = b - a_c with V'(b-) = beta (_upper_gap).
-Around it, the two lower conditions are a system in (a, l), solved in one
-of four ways, tried in this order: a = l = 0, accepted when V'(0) <= beta;
-at beta = 1 only, and then always accepted, l = 0 with a bracketed search
-for a; a = 0 with a bracketed search for l, accepted when V'(0) <= 1; and
-otherwise a damped Newton in (a_c, log l).
+A hybrid's three conditions are one system in (a_c, log l, log y), with
+l = a_c - a_p and y = b - a_c. Its paths, tried in this order: a_p = a_c
+= 0, accepted when V'(0) <= beta; then one damped Newton over the
+unknowns left free by l = 0 (beta = 1 only), by a_p = 0 (accepted when
+V'(0) <= 1), or by no pin. A bracketed search on V'(b-) = beta
+(_upper_gap) gives the first path's y and each Newton's starting y, and
+runs inside no Newton.
 
 For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
 is Hybrid(0, 0, b1) below b2, so b1 is the upper-gap search at a = l = 0,
@@ -67,8 +67,8 @@ class SolveReport:
     (hybrid: ap_ac_zero, ap_zero, ac_equals_ap or interior; liquidation:
     window or half_line; periodic: b0_zero or smooth_fit; periodic-zero:
     closed_form); n_kernel_evals, the hybrid-kernel calls; and n_iters, the
-    evaluations of the outermost equations (upper-gap searches for a hybrid,
-    V'(b1-) = beta for a liquidation, V'(b0) = 1 for a periodic barrier).
+    Newton steps plus the evaluations of the bracketed equation (V'(b-) =
+    beta for a hybrid's y or a liquidation's b1, V'(b0) = 1 for b0).
     """
 
     regime: Regime
@@ -164,7 +164,7 @@ def _periodic_b0(params: ModelParams, roots: Roots) -> tuple[float, int]:
 # hybrid solve
 
 # relative steps of the forward differences in the hybrid Newton's Jacobian:
-# in a and log l, and in y, whose derivatives of V'(b-) vanish with y
+# in a_c and log l, and in log y, whose derivatives of V'(b-) vanish with y
 _FD_STEP = 1e-7
 _FD_STEP_Y = 1e-4
 _MAX_NEWTON = 60  # Newton steps, each with at most _MAX_HALVINGS backtracks
@@ -180,14 +180,16 @@ def _upper_gap(
 ) -> float:
     """y = b - a_c solving V'(b-) = beta for Hybrid(a, a + l, a + l + y).
 
-    A gap y <= chi/beta nets nothing, so the root lies above it; as chi
-    falls the root falls with it (a liquidation's b1 about as sqrt(chi), a
-    hybrid's y about as chi^(1/3)), so no fixed floor stays below it. From
-    there the bracket grows geometrically, unless y_max, known to
-    lie above the root and below any second one, closes it.
+    A liquidation's b1 (a = l = 0), the ap_ac_zero hybrid's y, and each
+    hybrid Newton's starting y. A gap y <= chi/beta nets nothing, so the
+    root lies above it; as chi falls the root falls with it (a liquidation's
+    b1 about as sqrt(chi), a hybrid's y about as chi^(1/3)), so no fixed
+    floor stays below it. From there the bracket grows geometrically,
+    unless y_max, known to lie above the root and below any second one,
+    closes it.
     """
     fn = lambda y: kernel(a, l, y)[2] - params.beta
-    x0 = params.chi / params.beta if params.chi > 0.0 else 1e-6 / roots.r1
+    x0 = params.chi / params.beta
     if y_max < math.inf:
         return bisect_secant(fn, x0, y_max)
     return bisect_secant(fn, *bracket_geometric(fn, x0))
@@ -196,135 +198,131 @@ def _upper_gap(
 def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> SolveReport:
     """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta).
 
-    Every candidate (a, l), with l = a_c - a, gets its upper gap y*(a, l)
-    from the bracketed search on V'(b-) = beta (_upper_gap). What remains
-    is F(a, l) = (V'(a) - 1, V'(a + l) - beta) = 0, whose cases are tried
-    in turn; diagnostics["path"] names the one taken:
+    With l = a_c - a_p and y = b - a_c, the cases are tried in turn, each
+    accepted by a sign; diagnostics["path"] names the one taken:
 
-    * ap_ac_zero: a = l = 0, accepted when V'(0) <= beta there;
-    * ac_equals_ap: at beta = 1 only, where V'(a_p) = V'(a_c) = 1: l = 0,
-      a from a bracketed search on V'(a) = 1 in [0, a_bar], accepted
-      always, so a beta = 1 solve never reaches the cases below;
-    * ap_zero: a = 0, l from a bracketed search on V'(l) = beta, accepted
-      when V'(0) <= 1 there;
-    * interior: a damped Newton in (a_c, log l), with a = a_c - l, started
-      at a = a_bar / 2 with ap_zero's l. A step is scaled to move log l by
-      at most 2 and a, to first order, at most halfway to an end of
-      [0, a_bar], then halved until it makes progress: a lower max |F|, or
-      a shorter Newton correction under the same Jacobian. The Jacobian's
-      rows are V'(a) - 1 and (V'(a_c) - V'(b-)) / y, which on V'(b-) = beta
-      vanishes with F's second component but, unlike it, keeps its scale
-      as y falls with chi. Its columns are forward differences at fixed y,
-      each step relative to its variable, plus the implicit term in
-      dy = -d V'(b-) / (d V'(b-) / dy), so no derivative differences the y
-      search's tolerance. A trial whose y moves by a factor of 16 or more
-      has left its root of V'(b-) = beta for another and is halved too.
+    * ap_ac_zero: a_p = a_c = 0 with y from _upper_gap, accepted when
+      V'(0) <= beta there;
+    * ac_equals_ap (beta = 1 only, where V'(a_p) = V'(a_c) = 1): l = 0,
+      unknowns (a_c, log y) from a_c = a_bar / 2, accepted always;
+    * ap_zero: a_p = 0, unknowns (log l, log y) from l = 1 / (4 |s1|),
+      accepted when V'(0) <= 1;
+    * interior: unknowns (a_c, log l, log y) from a_p = a_bar / 2 and
+      ap_zero's l.
 
-    The interior's a never reaches a_bar, where the V'(a) = 1 condition
-    would be unmet; a Newton that stops with max |F| >= tol raises
-    DivoptError.
+    The last three are one damped Newton, whose rows are V'(b-) - beta,
+    G = (V'(a_c) - V'(b-)) / y and, with all three unknowns free,
+    V'(a_p) - 1. G vanishes with V'(a_c) - beta there but keeps its scale
+    as y falls with chi. y starts on V'(b-) = beta (_upper_gap); no search
+    runs after. The Jacobian is forward differences, each step relative to
+    its unknown, 1e-4 in y, whose derivatives of V'(b-) vanish with y;
+    where even that step moves V'(b-) by less than its rounding, y has
+    converged and is held. A step is scaled to move log l by at most 2 and
+    a_p, to first order, at most halfway to an end of [0, a_bar], then
+    halved until it makes progress: a lower max |F|, or a shorter Newton
+    correction under the same Jacobian. A trial that moves y by a factor
+    of 16 or more heads for another root of V'(b-) = beta and is halved.
+
+    A Newton that stops with max |F| >= tol raises DivoptError. At chi = 0
+    the optimum has b = a_c, which no Hybrid is: OutOfRangeError, raised
+    before any search.
     """
     if params.beta <= roots.pvfactor:
         raise OutOfRangeError("hybrid solve requires beta > gamma/(gamma+delta)")
+    if params.chi == 0.0:
+        raise OutOfRangeError("at chi = 0 the optimal b -> a_c (pay the excess now), "
+                              "which Hybrid(a_p, a_c, b > a_c) cannot represent")
     beta = params.beta
     abar = roots.a_bar
     len_s = 1.0 / abs(roots.s1)
     kernel = _counted(hybrid_kernel(params, roots))
+    gap_kernel = _counted(kernel)  # the upper-gap searches' calls
+    n_steps = 0
 
-    @_counted
-    def at(a: float, l: float):
-        y = _upper_gap(params, roots, kernel, a, l)
-        return y, kernel(a, l, y)
-
-    def report(path: str, a: float, l: float, y: float) -> SolveReport:
-        diagnostics = {"path": path, "n_kernel_evals": kernel.n, "n_iters": at.n}
+    def report(path: str, a: float, l: float, y: float, err: float = 0.0) -> SolveReport:
+        if not err < tol:
+            raise DivoptError(f"hybrid Newton stopped at max |F| = {err:.3g} >= tol={tol}")
+        diagnostics = {"path": path, "n_kernel_evals": kernel.n,
+                       "n_iters": n_steps + gap_kernel.n}
         return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y),
                        tol, diagnostics)
 
-    y, k = at(0.0, 0.0)
-    vp0 = k[0]
-    if vp0 <= beta:
+    def newton(free: tuple[bool, bool, bool], a: float, l: float):
+        # over the free ones of (a_c, log l, log y); a pinned a_c pins a = 0
+        nonlocal n_steps
+        idx = [i for i in range(3) if free[i]]
+        # V'(a) - 1 is no condition at a = 0, and y G + V'(b-) - beta at l = 0
+        sel = [0, 1, 2][-len(idx):]
+        rows = lambda k, y: np.array([(k[0] - 1.0, k[9] / y, k[2] - beta)[i] for i in sel])
+        residual = lambda k: max(abs(k[0] - 1.0) if free[0] else 0.0,
+                                 abs(k[1] - beta), abs(k[2] - beta))  # max |F|
+
+        def move(d):  # the levels after a step d in (a_c, log l, log y)
+            l1 = l * math.exp(d[1])
+            return (a + l + d[0] - l1 if free[0] else a), l1, y * math.exp(d[2])
+
+        y = _upper_gap(params, roots, gap_kernel, a, l)
+        k = kernel(a, l, y)
+        err = residual(k)
+        for _ in range(_MAX_NEWTON):
+            if not err > _F_FLOOR:
+                break
+            scale = np.array([a + l + len_s, 1.0, 1.0])[idx]
+            r0 = rows(k, y)
+            jac = np.empty((len(idx), len(idx)))
+            for j, i in enumerate(idx):
+                d = [0.0, 0.0, 0.0]
+                d[i] = h = (_FD_STEP, _FD_STEP, _FD_STEP_Y)[i] * scale[j]
+                ah, lh, yh = move(d)
+                jac[:, j] = (rows(kernel(ah, lh, yh), yh) - r0) / h
+            m = len(idx) - (jac[-1, -1] == 0.0)  # log y left out where y is held
+            try:
+                inv = np.linalg.inv(jac[:m, :m])
+            except np.linalg.LinAlgError:
+                break
+            n_steps += 1
+            step = np.zeros(3)
+            step[idx[:m]] = -inv @ r0[:m]
+            size = np.max(np.abs(step[idx]) / scale)
+            if not size > _STEP_TOL:
+                break  # below rounding of the barriers: converged
+            # one factor scales the whole step, keeping Newton's direction: it
+            # caps the step in log l and stops a, to first order, halfway to
+            # an end of [0, a_bar]; halving brings any trial a back inside
+            dc, dt, _ = step.tolist()
+            s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
+            da = dc - l * dt if free[0] else 0.0
+            if not 0.0 <= a + s * da <= abar:
+                s = 0.5 * ((abar - a) if da > 0.0 else -a) / da
+            progress = False
+            for _ in range(_MAX_HALVINGS):
+                a1, l1, y1 = move((s * step).tolist())
+                if 0.0 <= a1 <= abar and y / _Y_JUMP < y1 < _Y_JUMP * y:
+                    k1 = kernel(a1, l1, y1)
+                    err1 = residual(k1)
+                    # accept a lower max |F|, or a shorter Newton correction
+                    # (the rows' scales differ by orders as y falls)
+                    shorter = np.max(np.abs(inv @ rows(k1, y1)[:m]) / scale[:m]) < size
+                    progress = err1 < err or shorter
+                    if progress:
+                        break
+                s *= 0.5
+            if not progress:
+                break  # no step makes progress: rounding inside the gate, else a stall
+            a, l, y, k, err = a1, l1, y1, k1, err1
+        return a, l, y, k, err
+
+    y = _upper_gap(params, roots, gap_kernel, 0.0, 0.0)
+    if kernel(0.0, 0.0, y)[0] <= beta:
         return report("ap_ac_zero", 0.0, 0.0, y)
-
     if beta == 1.0:
-        # V'(a_p) = V'(a_c) = 1, so a_c = a_p; V'(a) - 1 falls in a
-        slope_gap = lambda a: at(a, 0.0)[1][0] - 1.0
-        a = bisect_secant(slope_gap, 0.0, abar, vp0 - 1.0)
-        y, _ = at(a, 0.0)
-        return report("ac_equals_ap", a, 0.0, y)
-
-    # at a = 0, V'(a_c) - beta is positive at l = 0 and falls to pv - beta < 0
-    ac_gap = lambda l: at(0.0, l)[1][1] - beta
-    l0 = 0.25 * len_s
-    g0 = ac_gap(l0)
-    bracket = (0.0, l0, vp0 - beta, g0) if g0 <= 0.0 else bracket_geometric(ac_gap, l0)
-    l = bisect_secant(ac_gap, *bracket)
-    y, k = at(0.0, l)
+        a, l, y, _, err = newton((True, False, True), 0.5 * abar, 0.0)
+        return report("ac_equals_ap", a, l, y, err)
+    a, l, y, k, err = newton((False, True, True), 0.0, 0.25 * len_s)
     if k[0] <= 1.0:
-        return report("ap_zero", 0.0, l, y)
-
-    def newton(a: float, l: float, y: float, k):
-        # Jacobian of the rows in (a_c, log l), y following V'(b-) = beta (see
-        # above); returns the map from row values to Newton's (d a_c, d log l),
-        # or None where the Jacobian is singular
-        hc, ht, hy = _FD_STEP * (a + l + len_s), _FD_STEP, _FD_STEP_Y * y
-        r0 = rows(k, y)
-        d_y = [(v - w) / hy for v, w in zip(rows(kernel(a, l, y + hy), y + hy), r0)]
-        lt = l * math.exp(ht)
-        cols = []
-        for kx, h in ((kernel(a + hc, l, y), hc), (kernel(a + l - lt, lt, y), ht)):
-            d_x = [(v - w) / h for v, w in zip(rows(kx, y), r0)]
-            y_x = -d_x[2] / d_y[2] if d_y[2] != 0.0 else 0.0  # 0: below rounding
-            cols.append((d_x[0] + d_y[0] * y_x, d_x[1] + d_y[1] * y_x))
-        (j00, j10), (j01, j11) = cols
-        det = j00 * j11 - j01 * j10
-        if not (det != 0.0 and math.isfinite(det)):
-            return None
-        return lambda g0, g1: ((g1 * j01 - g0 * j11) / det, (g0 * j10 - g1 * j00) / det)
-
-    rows = lambda k, y: (k[0] - 1.0, k[9] / y, k[2])  # V'(a) - 1, G, V'(b-)
-    residual = lambda k: max(abs(k[0] - 1.0), abs(k[1] - beta))  # max |F|
-    a = 0.5 * abar
-    y, k = at(a, l)
-    err = residual(k)
-    for _ in range(_MAX_NEWTON):
-        step = newton(a, l, y, k) if err > _F_FLOOR else None
-        if step is None:
-            break
-        dc, dt = step(*rows(k, y)[:2])
-        scale = a + l + len_s
-        size = max(abs(dc) / scale, abs(dt))
-        if size <= _STEP_TOL:
-            break  # below rounding of the barriers: converged
-        # one factor scales the whole step, keeping Newton's direction: it caps
-        # the step in log l and stops a, to first order, halfway to an end of
-        # [0, a_bar]; halving brings any trial a back inside
-        s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
-        da = dc - l * dt
-        if not 0.0 <= a + s * da <= abar:
-            s = 0.5 * ((abar - a) if da > 0.0 else -a) / da
-        progress = False
-        for _ in range(_MAX_HALVINGS):
-            l1 = l * math.exp(s * dt)
-            a1 = a + l + s * dc - l1
-            if 0.0 <= a1 <= abar:
-                y1, k1 = at(a1, l1)
-                err1 = residual(k1)
-                # accept a lower max |F|, or a shorter Newton correction under
-                # the same Jacobian (the rows' scales differ by orders as y falls)
-                dc1, dt1 = step(*rows(k1, y1)[:2])
-                shorter = max(abs(dc1) / scale, abs(dt1)) < size
-                # a y that jumps has left its root of V'(b-) = beta for another one
-                progress = (err1 < err or shorter) and y / _Y_JUMP < y1 < _Y_JUMP * y
-                if progress or err < tol:
-                    break
-            s *= 0.5
-        if not progress:
-            break  # no step makes progress: rounding inside the gate, else a stall
-        a, l, y, k, err = a1, l1, y1, k1, err1
-    if not err < tol:
-        raise DivoptError(f"hybrid Newton stopped at max |F| = {err:.3g} >= tol={tol}")
-    return report("interior", a, l, y)
+        return report("ap_zero", a, l, y, err)
+    a, l, y, _, err = newton((True, True, True), 0.5 * abar, l)
+    return report("interior", a, l, y, err)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +410,10 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     The hybrid kernel evaluates only exponentials at most 1, so hybrid
     barriers come out finite however far out they lie. Raises
     NoBracketError when a root search finds no sign change, OutOfRangeError
-    for a liquidation regime at chi = 0 (its optimum b1 -> 0 is no
-    Liquidation), and DivoptError when the solved barriers miss their
-    smooth-fit conditions by tol or more, or a finite window has collapsed.
+    for a hybrid or liquidation regime at chi = 0 (its optimum b -> a_c, or
+    b1 -> 0, is no Hybrid or Liquidation), and DivoptError when the solved
+    barriers miss their smooth-fit conditions by tol or more, or a finite
+    window has collapsed.
     """
     roots = solve_roots(params)
     regime = classify_regime(params, roots)

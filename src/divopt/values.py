@@ -166,8 +166,9 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
     the b = inf limit. V(a_c), the lattice's objective, is the other stage 2,
     hybrid_value_ac, which works on arrays.
 
-    The kernel uses math.exp: a hybrid solve makes thousands of calls. No
-    admissibility checks: the solver probes freely inside its search box.
+    The kernel uses math.exp: a hybrid solve makes a few hundred calls,
+    one at a time. No admissibility checks: the solver probes freely
+    inside its search box.
     """
     r1, s1 = roots.r1, roots.s1
     gd = params.gamma + params.delta

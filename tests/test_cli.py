@@ -103,7 +103,7 @@ class TestSolveCommand:
     ("sweep", ["--sweep", "chi", "--from", "0.001", "--to", "inf"]),
 ])
 def test_usage_error_reported_before_the_solve(command, options, monkeypatch, capsys):
-    # as at chi = 0, where the hybrid solve raises NoBracketError
+    # a solve that ran would raise a solver error, which exits 2, not 3
     def no_bracket(params, tol):
         raise NoBracketError("the solve ran")
 

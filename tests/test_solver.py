@@ -458,6 +458,18 @@ class TestDiagnostics:
         assert 0 < d["n_kernel_evals"] <= 700, d
         assert 0 < d["n_iters"] < d["n_kernel_evals"]
 
+    @pytest.mark.parametrize("changes, bound", [
+        ({}, 250),
+        ({"chi": 1e-16}, 800),
+        ({"beta": 1.0 / 1.15 * (1.0 + 1e-8)}, 800),  # pv (1 + 1e-8)
+    ])
+    def test_hybrid_kernel_calls_stay_bounded_toward_the_limits(self, pos_params, changes, bound):
+        # y falls as chi^(1/3) and grows as 1/(beta - pv); no y search runs
+        # inside the Newton, so neither limit multiplies its calls. Bounds,
+        # not pinned counts
+        d = solve(replace(pos_params, **changes)).diagnostics
+        assert d["path"] == "interior" and d["n_kernel_evals"] <= bound, d
+
 
 class TestThresholdApproach:
     def test_upper_barriers_diverge_toward_the_threshold(self):
@@ -615,21 +627,26 @@ class TestFuzz:
                 assert p.chi == 0.0, (p, exc)
                 outcome = type(exc).__name__
             assert time.perf_counter() - t0 < 1.0, p
+            if p.chi == 0.0 and classify_regime(p, solve_roots(p)) is Regime.PROFITABLE_HYBRID:
+                # b -> a_c: refused before any search, as for the liquidations
+                assert outcome == "OutOfRangeError", p
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        # the draws reach every regime and both typed errors
-        assert len(outcomes) == 7, outcomes
+        # the draws reach every regime and the typed error
+        assert set(outcomes) == {r.value for r in Regime} | {"OutOfRangeError"}, outcomes
 
     def test_widened_criterion_2_hybrids_solve_fast_and_verified(self):
         # criterion 2's hybrid distribution with beta over all of (pv, 1],
         # beta = 1 itself, and chi down to 1e-16: every solve is inside its
         # gate, passes check_hjb and is fast, and the solves reach every path.
         # The explicit examples pin the rare low-drift, high-volatility corner
-        # where a_p = 0
+        # where a_p = 0, and the beta -> 1, tiny-chi corner
         paths = set()
 
         @settings(derandomize=True, database=None, deadline=None, max_examples=200)
         @example(mu=0.02, sigma=1.5, chi=0.01, gamma=1.0, delta=0.15, u=0.6)
         @example(mu=0.1, sigma=1.5, chi=1e-12, gamma=1.0, delta=0.15, u=0.25)
+        @example(mu=1.0, sigma=1.0, chi=1e-16, gamma=1.0, delta=0.25, u=0.99999)
+        @example(mu=1.0, sigma=1.0, chi=1e-07, gamma=1.0, delta=0.25, u=0.99999)
         @given(
             mu=hs.floats(0.02, 2.5),
             sigma=hs.floats(0.1, 1.5),
