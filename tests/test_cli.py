@@ -89,6 +89,7 @@ class TestSolveCommand:
     ("value", ["--points", "1"]),
     ("simulate", ["--paths", "0"]),
     ("simulate", ["--paths", "3"]),  # odd, with antithetic sampling
+    ("simulate", ["--paths", "2"]),  # one antithetic pair: no standard error
     ("simulate", ["--horizon", "nan"]),
     ("simulate", ["--horizon", "1"]),  # truncates above the tolerance at delta = 0.15
     # a tolerance that is not a finite number > 0 would reject exact zeros or

@@ -25,23 +25,27 @@ from divopt.simulate import _Rules
 
 
 class TestPolicyStep:
-    """The payment rules the engine applies (simulate._Rules): periodic(x)
-    and immediate(x) give (amount, new surplus), where a new surplus of 0
-    ends the path; triggered(x) the trigger set, interval(x) the ends of
-    the interval a step exits."""
+    """The payment rules the engine applies (simulate._Rules): pay(x, clock)
+    gives (amount, new surplus) under the periodic rule where clock holds
+    and the immediate rule elsewhere, where an amount <= 0 is no payment
+    and a new surplus of 0 ends the path; triggered(x) the trigger set,
+    interval(x) the ends of the interval a step exits (scalars when there
+    is one interval below the band)."""
 
     def test_hybrid_payment_map(self):
         rules = _Rules(Hybrid(1.0, 2.0, 4.0))
         # the trigger set [b, inf) is closed at b
         x = np.array([0.5, 3.0, 3.99, 4.0, 4.5])
         assert rules.triggered(x).tolist() == [False, False, False, True, True]
-        amount, new = rules.immediate(np.array([4.5]))
+        amount, new = rules.pay(np.array([4.5]), False)
         assert (amount.tolist(), new.tolist()) == ([2.5], [2.0])
-        # at or below a_p a decision time pays zero, which is no payment
-        amount, new = rules.periodic(np.array([3.0, 0.5]))
-        assert (amount.tolist(), new.tolist()) == ([2.0, 0.0], [1.0, 0.5])
-        lo, hi = rules.interval(np.array([0.5, 3.0]))
-        assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0], [4.0, 4.0])
+        # at or below a_p a decision time pays nothing and keeps the level
+        amount, new = rules.pay(np.array([3.0, 0.5]), True)
+        assert (amount.tolist(), new.tolist()) == ([2.0, -0.5], [1.0, 0.5])
+        # the rule is chosen per path
+        amount, new = rules.pay(np.array([3.0, 4.5]), np.array([True, False]))
+        assert (amount.tolist(), new.tolist()) == ([2.0, 2.5], [1.0, 2.0])
+        assert rules.interval(np.array([0.5, 3.0])) == (0.0, 4.0)
 
     def test_liquidation_payment_map(self, neg_params, neg_roots):
         st = Liquidation(1.0, 2.0)
@@ -51,9 +55,9 @@ class TestPolicyStep:
         x = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
         assert rules.triggered(x).tolist() == [False, True, True, False, False]
         # both rules pay everything, and the new level 0 ends the path
-        amount, new = rules.immediate(np.array([1.5]))
+        amount, new = rules.pay(np.array([1.5]), False)
         assert (amount.tolist(), new.tolist()) == ([1.5], [0.0])
-        amount, new = rules.periodic(np.array([2.5]))
+        amount, new = rules.pay(np.array([2.5]), True)
         assert (amount.tolist(), new.tolist()) == ([2.5], [0.0])
         lo, hi = rules.interval(np.array([0.5, 2.0, 2.5]))
         assert (lo.tolist(), hi.tolist()) == ([0.0, 2.0, 2.0], [1.0, math.inf, math.inf])
@@ -61,6 +65,7 @@ class TestPolicyStep:
         cfg = SimConfig(n_paths=64)
         for r in simulate_at(neg_params, neg_roots, st, cfg, [1.0, 1.5]):
             assert (r.ruin_fraction, r.n_immediate_dividends, r.n_events) == (1.0, 64, 0)
+            assert r.max_chain == 0
             assert r.epv_mean == pytest.approx(neg_params.beta * r.x0 - neg_params.chi, rel=1e-12)
 
     def test_periodic_families(self):
@@ -68,13 +73,12 @@ class TestPolicyStep:
         pz, pb = _Rules(PeriodicZero()), _Rules(PeriodicBarrier(1.0))
         for rules in (pz, pb):
             assert not rules.triggered(x).any()
-            lo, hi = rules.interval(x)
-            assert (lo.tolist(), hi.tolist()) == ([0.0, 0.0], [math.inf, math.inf])
+            assert rules.interval(x) == (0.0, math.inf)
         # periodic-zero pays everything down to the level 0, which ends the path
-        amount, new = pz.periodic(x)
+        amount, new = pz.pay(x, True)
         assert (amount.tolist(), new.tolist()) == ([1.7, 0.7], [0.0, 0.0])
-        amount, new = pb.periodic(x)
-        assert amount.tolist() == pytest.approx([0.7, 0.0])
+        amount, new = pb.pay(x, True)
+        assert amount.tolist() == pytest.approx([0.7, -0.3])
         assert new.tolist() == [1.0, 0.7]
 
     def test_negative_surplus_rejected(self, neg_params, neg_roots):
@@ -92,6 +96,12 @@ class TestSimConfig:
             SimConfig(n_paths=101, antithetic=True)
         with pytest.raises(ConfigError):
             SimConfig(truncation_tol=2.0)
+        # fewer than two samples leave no standard error: one path, or one
+        # antithetic pair
+        for n_paths, antithetic in ((1, False), (2, True)):
+            with pytest.raises(ConfigError):
+                SimConfig(n_paths=n_paths, antithetic=antithetic)
+        assert SimConfig(n_paths=2, antithetic=False).n_paths == 2
 
     def test_non_integral_path_count_rejected(self):
         with pytest.raises(ConfigError):
@@ -258,18 +268,21 @@ class TestNearDeterministicPaths:
         times = [1.005 * k for k in range(1, 11)]
         assert res.n_immediate_dividends == 4 * len(times)
         assert res.n_periodic_dividends == 0 and res.ruin_fraction == 0.0
+        # one step per crossing: the longest path takes ten
+        assert res.max_chain == 10
         expected = sum(math.exp(-p.delta * t) * (p.beta * 1.005 - p.chi) for t in times)
         assert res.epv_mean == pytest.approx(expected, rel=1e-9)
 
     def test_periodic_zero_is_ruined_at_zero(self):
         _, res = self._run(-1.0, PeriodicZero(), x0=0.505)
         assert res.ruin_fraction == 1.0 and res.epv_mean == 0.0
-        assert res.n_decision_events == 0
+        assert res.n_decision_events == 0 and res.max_chain == 1
 
     def test_liquidation_band_is_entered_at_its_upper_end(self):
         # X(t) = 1.005 - t meets the narrow band (0.487, 0.493) at t = 0.512
         p, res = self._run(-1.0, Liquidation(0.487, 0.493), x0=1.005, chi=0.01, beta=0.8)
         assert res.n_immediate_dividends == 4 and res.ruin_fraction == 1.0
+        assert res.max_chain == 1
         expected = math.exp(-p.delta * 0.512) * (p.beta * 0.493 - p.chi)
         assert res.epv_mean == pytest.approx(expected, rel=1e-9)
 
@@ -294,64 +307,80 @@ LAW_CASES = [
 class TestExitLaws:
     """The exit laws the engine samples from, checked against their
     definitions: lam int G = 1 - up - down, the L -> inf limits, and weight
-    factors (the law at gamma + delta over the law at gamma) in (0, 1]."""
+    factors (the law at gamma + delta over the law at gamma) in (0, 1].
+    Every law has one row per rate."""
 
     @staticmethod
-    def _laws(params):
+    def _law(params):
         engine = importlib.import_module("divopt.simulate")
-        return engine._Law(params, params.gamma), engine._Law(params, params.gamma + params.delta)
+        return engine._Law(params, (params.gamma, params.gamma + params.delta))
+
+    @staticmethod
+    def _exits(law, x, L):
+        """(down, up) from x in (0, L), L a scalar or one length per path."""
+        X = law.exits(x, law.gap(L, x), law.nq(L))
+        return X[:, 0], X[:, 1]
 
     @pytest.mark.parametrize("params, lengths", LAW_CASES)
     def test_green_mass_identity(self, params, lengths):
-        for rate, law in zip((params.gamma, params.gamma + params.delta), self._laws(params)):
+        law = self._law(params)
+        for row, rate in enumerate((params.gamma, params.gamma + params.delta)):
             for L in lengths:
                 for x in np.linspace(0.0, L, 7)[1:-1]:
-                    up, down = law.exits(np.array([x]), np.array([L]))
-                    below = _gauss_legendre(lambda y: law.green(x, y, L), 0.0, x)
-                    above = _gauss_legendre(lambda y: law.green(x, y, L), x, L)
-                    assert abs(rate * (below + above) - (1.0 - up[0] - down[0])) < 1e-12
+                    down, up = self._exits(law, np.array([x]), L)
+
+                    def green(y):
+                        return law.green(x, y.ravel(), L, law.nc * law.nq(L))[row].reshape(y.shape)
+
+                    below = _gauss_legendre(green, 0.0, x)
+                    above = _gauss_legendre(green, x, L)
+                    assert abs(rate * (below + above) - (1.0 - up[row, 0] - down[row, 0])) < 1e-12
 
     @pytest.mark.parametrize("params, lengths", LAW_CASES)
     def test_exit_masses_at_most_one(self, params, lengths):
-        for law in self._laws(params):
-            for L in lengths + (np.inf,):
-                x = np.linspace(0.0, min(L, 20.0), 401)
-                up, down = law.exits(x, np.full_like(x, L))
-                assert np.all((up >= 0.0) & (down >= 0.0) & (up + down <= 1.0))
-                assert down[0] == 1.0 and up[0] == 0.0
-                if L < np.inf:
-                    assert up[-1] == 1.0 and down[-1] == 0.0
+        law = self._law(params)
+        for L in lengths + (np.inf,):
+            x = np.linspace(0.0, min(L, 20.0), 401)
+            down, up = self._exits(law, x, np.full_like(x, L))
+            assert np.all((up >= 0.0) & (down >= 0.0) & (up + down <= 1.0))
+            assert np.all(down[:, 0] == 1.0) and np.all(up[:, 0] == 0.0)
+            if L < np.inf:
+                assert np.all(up[:, -1] == 1.0) and np.all(down[:, -1] == 0.0)
+            # one length for all paths gives the same laws, bit for bit
+            down_1, up_1 = self._exits(law, x, L)
+            assert np.array_equal(down_1, down) and np.array_equal(np.broadcast_to(up_1, up.shape), up)
 
     @pytest.mark.parametrize("params, lengths", LAW_CASES)
     def test_infinite_interval_limits(self, params, lengths):
-        for law in self._laws(params):
-            x = np.linspace(0.0, 2.0, 41)
-            gaps = []
-            for L in (2.5, 5.0, 10.0, 40.0, 1e3, np.inf):
-                up, down = law.exits(x, np.full_like(x, L))
-                gaps.append(max(np.max(up), np.max(np.abs(down - np.exp(law.s * x)))))
-            assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
-            assert gaps[-2] < 1e-12 and gaps[-1] == 0.0
+        law = self._law(params)
+        x = np.linspace(0.0, 2.0, 41)
+        gaps = []
+        for L in (2.5, 5.0, 10.0, 40.0, 1e3, np.inf):
+            down, up = self._exits(law, x, np.full_like(x, L))
+            gaps.append(max(np.max(up), np.max(np.abs(down - np.exp(law.s * x)))))
+        assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
+        assert gaps[-2] < 1e-12 and gaps[-1] == 0.0
 
     @pytest.mark.parametrize("params, lengths", LAW_CASES)
     def test_weight_factors_in_unit_interval(self, params, lengths):
-        law, law_d = self._laws(params)
+        law = self._law(params)
         for L in lengths + (np.inf,):
             x = np.linspace(0.0, min(L, 20.0), 81)[1:-1]
             Ls = np.full_like(x, L)
-            (up, down), (up_d, down_d) = law.exits(x, Ls), law_d.exits(x, Ls)
-            factors = [down_d / down] + ([up_d / up] if L < np.inf else [])
+            down, up = self._exits(law, x, Ls)
+            factors = [down[1] / down[0]] + ([up[1] / up[0]] if L < np.inf else [])
             for y in x:
-                factors.append(law_d.green(x, y, Ls) / law.green(x, y, Ls))
+                g = law.green(x, y, Ls, law.nc * law.nq(Ls))
+                factors.append(g[1] / g[0])
             f = np.concatenate(factors)
             assert np.all((f > 0.0) & (f <= 1.0))
 
     def test_far_upper_barrier_gives_finite_results(self, neg_params, neg_roots):
         # negative drift makes r large: r b > 700, where e^{r b} overflows
         st = Hybrid(0.5, 1.0, 40.0)
-        law, _ = self._laws(neg_params)
-        assert law.r * st.b > 700.0
-        up, down = law.exits(np.array([0.1, 20.0, 39.99]), np.full(3, st.b))
+        law = self._law(neg_params)
+        assert law.r[0, 0] * st.b > 700.0
+        down, up = self._exits(law, np.array([0.1, 20.0, 39.99]), st.b)
         assert np.all(np.isfinite(up) & np.isfinite(down))
         cfg = SimConfig(n_paths=2000, seed=3, truncation_tol=1e-3)
         x0s = [0.5, 20.0, 39.9, 45.0]
