@@ -91,7 +91,6 @@ class TestSolveCommand:
     ("simulate", ["--paths", "3"]),  # odd, with antithetic sampling
     ("simulate", ["--paths", "2"]),  # one antithetic pair: no standard error
     ("simulate", ["--horizon", "nan"]),
-    ("simulate", ["--horizon", "1"]),  # truncates above the tolerance at delta = 0.15
     # a tolerance that is not a finite number > 0 would reject exact zeros or
     # switch the residual gate off; a non-finite grid or sweep end is no grid
     ("solve", ["--tol", "nan"]),
@@ -102,6 +101,7 @@ class TestSolveCommand:
     ("value", ["--x-max", "inf"]),
     ("sweep", ["--sweep", "chi", "--from", "nan", "--to", "0.1"]),
     ("sweep", ["--sweep", "chi", "--from", "0.001", "--to", "inf"]),
+    ("simulate", ["--horizon", "1"]),  # truncates above the tolerance at delta = 0.15
 ])
 def test_usage_error_reported_before_the_solve(command, options, monkeypatch, capsys):
     # a solve that ran would raise a solver error, which exits 2, not 3
