@@ -47,7 +47,7 @@ from .errors import DivoptError, OutOfRangeError
 # the name the benchmark's tracer wraps
 from .rootfind import bisect_secant, bracket_geometric, smallest_root_scan  # noqa: F401
 from .strategies import Hybrid, Liquidation, PeriodicBarrier, PeriodicZero, Strategy
-from .values import ValueFunction, hybrid_kernel, periodic_zero
+from .values import ValueFunction, complex_step, hybrid_kernel, periodic_zero
 
 
 class Regime(enum.Enum):
@@ -163,10 +163,7 @@ def _periodic_b0(params: ModelParams, roots: Roots) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 # hybrid solve
 
-# relative steps of the forward differences in the hybrid Newton's Jacobian:
-# in a_c and log l, and in log y, whose derivatives of V'(b-) vanish with y
-_FD_STEP = 1e-7
-_FD_STEP_Y = 1e-4
+_CS_STEP = 1e-200  # the complex step h of the hybrid Newton's exact Jacobian
 _MAX_NEWTON = 60  # Newton steps, each with at most _MAX_HALVINGS backtracks
 _MAX_HALVINGS = 40
 _MAX_LOG_STEP = 2.0  # largest Newton step in log l
@@ -214,21 +211,21 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
     G = (V'(a_c) - V'(b-)) / y and, with all three unknowns free,
     V'(a_p) - 1. G vanishes with V'(a_c) - beta there but keeps its scale
     as y falls with chi. y starts on V'(b-) = beta (_upper_gap); no search
-    runs after. The Jacobian is forward differences, each step relative to
-    its unknown, 1e-4 in y, whose derivatives of V'(b-) vanish with y;
-    where even that step moves V'(b-) by less than its rounding, y has
-    converged and is held. A step is scaled to move log l by at most 2 and
+    runs after. The Jacobian is exact: its columns are Im(rows)/h at the
+    unknowns moved by a complex step ih (the kernel on complex points).
+    Each pin is one 3 x 3 step in floats, the pinned unknown taking the
+    unused V'(a_p) - 1 row. A step is scaled to move log l by at most 2 and
     a_p, to first order, at most halfway to an end of [0, a_bar], then
     halved until it makes progress: a lower max |F|, or a shorter Newton
     correction under the same Jacobian. A trial that moves y by a factor
     of 16 or more heads for another root of V'(b-) = beta and is halved.
 
-    A Newton that stops with max |F| >= tol raises DivoptError. At chi = 0
-    the optimum has b = a_c, which no Hybrid is: OutOfRangeError, raised
-    before any search.
+    A Newton that stops with max |F| >= tol raises DivoptError. mu < 0, and
+    chi = 0, where the optimum has b = a_c, which no Hybrid is, raise
+    OutOfRangeError before any search.
     """
-    if params.beta <= roots.pvfactor:
-        raise OutOfRangeError("hybrid solve requires beta > gamma/(gamma+delta)")
+    if params.mu < 0.0 or params.beta <= roots.pvfactor:
+        raise OutOfRangeError("hybrid solve requires mu >= 0 and beta > gamma/(gamma+delta)")
     if params.chi == 0.0:
         raise OutOfRangeError("at chi = 0 the optimal b -> a_c (pay the excess now), "
                               "which Hybrid(a_p, a_c, b > a_c) cannot represent")
@@ -237,29 +234,31 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
     len_s = 1.0 / abs(roots.s1)
     kernel = _counted(hybrid_kernel(params, roots))
     gap_kernel = _counted(kernel)  # the upper-gap searches' calls
+    cs_kernel = _counted(hybrid_kernel(params, roots, complex_step))
     n_steps = 0
 
     def report(path: str, a: float, l: float, y: float, err: float = 0.0) -> SolveReport:
         if not err < tol:
             raise DivoptError(f"hybrid Newton stopped at max |F| = {err:.3g} >= tol={tol}")
-        diagnostics = {"path": path, "n_kernel_evals": kernel.n,
+        diagnostics = {"path": path, "n_kernel_evals": kernel.n + cs_kernel.n,
                        "n_iters": n_steps + gap_kernel.n}
         return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y),
                        tol, diagnostics)
 
-    def newton(free: tuple[bool, bool, bool], a: float, l: float):
-        # over the free ones of (a_c, log l, log y); a pinned a_c pins a = 0
+    def newton(pin: int | None, a: float, l: float):
+        # over (a_c, log l, log y); pin 0 holds a = 0, pin 1 l = 0. The pinned
+        # unknown takes row 0, as V'(a) - 1 is no condition at a = 0, nor y G +
+        # V'(b-) - beta at l = 0: residual 0 and column (1, 0, 0), so step 0
         nonlocal n_steps
-        idx = [i for i in range(3) if free[i]]
-        # V'(a) - 1 is no condition at a = 0, and y G + V'(b-) - beta at l = 0
-        sel = [0, 1, 2][-len(idx):]
-        rows = lambda k, y: np.array([(k[0] - 1.0, k[9] / y, k[2] - beta)[i] for i in sel])
-        residual = lambda k: max(abs(k[0] - 1.0) if free[0] else 0.0,
+        rows = lambda k, y: (k[0] - 1.0 if pin is None else 0.0, k[9] / y, k[2] - beta)
+        residual = lambda k: max(abs(k[0] - 1.0) if pin != 0 else 0.0,
                                  abs(k[1] - beta), abs(k[2] - beta))  # max |F|
+        correction = lambda r: [-sum(u * v for u, v in zip(row, r)) for row in inv]
+        relative = lambda d: max(abs(u) / c for u, c in zip(d, scale))
 
         def move(d):  # the levels after a step d in (a_c, log l, log y)
             l1 = l * math.exp(d[1])
-            return (a + l + d[0] - l1 if free[0] else a), l1, y * math.exp(d[2])
+            return (a + l + d[0] - l1 if pin != 0 else a), l1, y * math.exp(d[2])
 
         y = _upper_gap(params, roots, gap_kernel, a, l)
         k = kernel(a, l, y)
@@ -267,42 +266,43 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
         for _ in range(_MAX_NEWTON):
             if not err > _F_FLOOR:
                 break
-            scale = np.array([a + l + len_s, 1.0, 1.0])[idx]
-            r0 = rows(k, y)
-            jac = np.empty((len(idx), len(idx)))
-            for j, i in enumerate(idx):
-                d = [0.0, 0.0, 0.0]
-                d[i] = h = (_FD_STEP, _FD_STEP, _FD_STEP_Y)[i] * scale[j]
-                ah, lh, yh = move(d)
-                jac[:, j] = (rows(kernel(ah, lh, yh), yh) - r0) / h
-            m = len(idx) - (jac[-1, -1] == 0.0)  # log y left out where y is held
-            try:
-                inv = np.linalg.inv(jac[:m, :m])
-            except np.linalg.LinAlgError:
-                break
+            # column j, exactly: Im(rows)/h with unknown j moved by ih (a step in
+            # log l holds a_c); the inverse's rows are the columns' cross products
+            scale, ih = (a + l + len_s, 1.0, 1.0), 1j * _CS_STEP
+            points = ((a + ih, l, y), (a - ih * l if pin != 0 else a, l + ih * l, y),
+                      (a, l, y + ih * y))
+            cols = [(1.0, 0.0, 0.0) if j == pin else
+                    [v.imag / _CS_STEP for v in rows(cs_kernel(*pt), pt[2])]
+                    for j, pt in enumerate(points)]
+            adj = [(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                    u[0] * v[1] - u[1] * v[0])
+                   for u, v in ((cols[1], cols[2]), (cols[2], cols[0]), (cols[0], cols[1]))]
+            det = sum(u * v for u, v in zip(cols[0], adj[0]))
+            if not det:
+                break  # singular: no Newton direction
+            inv = [[u / det for u in row] for row in adj]
             n_steps += 1
-            step = np.zeros(3)
-            step[idx[:m]] = -inv @ r0[:m]
-            size = np.max(np.abs(step[idx]) / scale)
+            step = correction(rows(k, y))
+            size = relative(step)
             if not size > _STEP_TOL:
                 break  # below rounding of the barriers: converged
             # one factor scales the whole step, keeping Newton's direction: it
             # caps the step in log l and stops a, to first order, halfway to
             # an end of [0, a_bar]; halving brings any trial a back inside
-            dc, dt, _ = step.tolist()
+            dc, dt, _ = step
             s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
-            da = dc - l * dt if free[0] else 0.0
+            da = dc - l * dt if pin != 0 else 0.0
             if not 0.0 <= a + s * da <= abar:
                 s = 0.5 * ((abar - a) if da > 0.0 else -a) / da
             progress = False
             for _ in range(_MAX_HALVINGS):
-                a1, l1, y1 = move((s * step).tolist())
+                a1, l1, y1 = move([s * u for u in step])
                 if 0.0 <= a1 <= abar and y / _Y_JUMP < y1 < _Y_JUMP * y:
                     k1 = kernel(a1, l1, y1)
                     err1 = residual(k1)
                     # accept a lower max |F|, or a shorter Newton correction
                     # (the rows' scales differ by orders as y falls)
-                    shorter = np.max(np.abs(inv @ rows(k1, y1)[:m]) / scale[:m]) < size
+                    shorter = relative(correction(rows(k1, y1))) < size
                     progress = err1 < err or shorter
                     if progress:
                         break
@@ -316,12 +316,12 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
     if kernel(0.0, 0.0, y)[0] <= beta:
         return report("ap_ac_zero", 0.0, 0.0, y)
     if beta == 1.0:
-        a, l, y, _, err = newton((True, False, True), 0.5 * abar, 0.0)
+        a, l, y, _, err = newton(1, 0.5 * abar, 0.0)
         return report("ac_equals_ap", a, l, y, err)
-    a, l, y, k, err = newton((False, True, True), 0.0, 0.25 * len_s)
+    a, l, y, k, err = newton(0, 0.0, 0.25 * len_s)
     if k[0] <= 1.0:
         return report("ap_zero", a, l, y, err)
-    a, l, y, _, err = newton((True, True, True), 0.5 * abar, l)
+    a, l, y, _, err = newton(None, 0.5 * abar, l)
     return report("interior", a, l, y, err)
 
 

@@ -32,7 +32,9 @@ discount level gamma + delta, and a small set of coefficients:
   exactly, so a = 0 gives V(0) = 0.
 
   The kernel has two stages. Stage 1 (_hybrid_factors) evaluates the
-  factors of a alone and those of the gaps (l, y) alone. Stage 2 builds
+  factors of a alone and those of the gaps (l, y) alone, through xp's exp
+  and expm1: math for floats, np for arrays, or complex_step for the
+  complex points of the solver's exact Jacobian. Stage 2 builds
   what its caller reads: hybrid_kernel gives V' at a, a_c and b- and the
   coefficients (the solver, ValueFunction); hybrid_value_ac gives V(a_c)
   (the barrier lattice). V(a_c) is separable: a ratio of two dot products,
@@ -66,8 +68,10 @@ smooth-fit conditions are stated).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -77,6 +81,12 @@ from .strategies import Strategy, nets_positive
 
 # math.exp overflows beyond this argument
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+
+# stage 1 at complex points x + ih: Im f(x + ih)/h is f'(x), with no
+# subtraction (Squire & Trapp 1998). cmath has no expm1; at imaginary parts
+# as small as h = 1e-200, cos is 1 and sin the identity in floats: exact
+complex_step = types.SimpleNamespace(exp=cmath.exp, expm1=lambda z: complex(
+    math.expm1(z.real), math.exp(z.real) * z.imag))
 
 
 def _affine(x, k: int, slope: float, intercept: float):
@@ -111,10 +121,10 @@ def _hybrid_factors(params: ModelParams, roots: Roots, xp):
 
         P = f'(a) - s1 k f(a),    Q = (pv/(g+d)) (mu f'(a) - delta f(a)).
 
-    xp is math (floats) or np (arrays, one shape for a and one for the
-    gaps). Every exponential evaluated is at most 1. Both differences that
-    vanish with y, e^{s1 d} - e^{s1 l} and 1 - e^{-r1 y}, come from expm1,
-    so a small gap y carries no cancellation.
+    xp is math (floats), np (arrays, one shape for a and one for the gaps)
+    or complex_step (complex scalars). Every exponential evaluated is at
+    most 1. Both differences that vanish with y, e^{s1 d} - e^{s1 l} and
+    1 - e^{-r1 y}, come from expm1, so a small gap y carries no cancellation.
     """
     r0, s0, r1, s1 = roots.r0, roots.s0, roots.r1, roots.s1
     alpha, chi, mu, delta = roots.alpha, params.chi, params.mu, params.delta
@@ -144,11 +154,11 @@ def _hybrid_factors(params: ModelParams, roots: Roots, xp):
     return factors
 
 
-def hybrid_kernel(params: ModelParams, roots: Roots):
+def hybrid_kernel(params: ModelParams, roots: Roots, xp=math):
     """The hybrid closed form of one parameter set, as a function of (a, l, y).
 
     kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
-    all floats, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den, f(a), P,
+    all scalars, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den, f(a), P,
     vp_gap): V' at a, a_c and b-, the coefficients with A_hat = A e^{r1 d}
     (d = l + y), the shifted denominator, stage 1's f(a) and P (den's limit
     as d grows), and vp_gap = vp_ac - vp_b, formed from the gap factors so
@@ -166,15 +176,15 @@ def hybrid_kernel(params: ModelParams, roots: Roots):
     the b = inf limit. V(a_c), the lattice's objective, is the other stage 2,
     hybrid_value_ac, which works on arrays.
 
-    The kernel uses math.exp: a hybrid solve makes a few hundred calls,
-    one at a time. No admissibility checks: the solver probes freely
-    inside its search box.
+    Stage 1 runs on xp: math for floats, a call at a time, or complex_step,
+    whose outputs at x + ih give the derivatives in x exactly, as Im/h. No
+    admissibility checks: the solver probes freely inside its search box.
     """
     r1, s1 = roots.r1, roots.s1
     gd = params.gamma + params.delta
     pv = roots.pvfactor
     k, pv_m1 = params.delta / gd, pv * (params.mu / gd)
-    factors = _hybrid_factors(params, roots, math)
+    factors = _hybrid_factors(params, roots, xp)
 
     def kernel(a, l, y):
         fa, fpa, P, Q, lin, E, ey, ds1, es1l, gdl, Jdl, c_num = factors(a, l, y)

@@ -271,6 +271,21 @@ class TestHybridSolve:
         assert rep.boundary["ap_zero"] and rep.boundary["ac_equals_ap"]
         assert rep.strategy.a_p == 0.0 and rep.strategy.a_c == 0.0
 
+    @pytest.mark.parametrize("p, path", [
+        # beta = 1 at chi = 1e-16: the (a_c, log y) Jacobian is nearly singular
+        (mk(mu=1.9, sigma=0.1, chi=1e-16, beta=1.0, gamma=0.6794362417737436, delta=0.03),
+         "ac_equals_ap"),
+        # beta just above pv: b is about 7e11 and a_c barely moves V'(a_c)
+        (mk(mu=0.5, sigma=1.3279876986725474, chi=0.037740766767995065,
+            beta=0.45759871551798387, gamma=0.3, delta=0.35559624585144933), "ap_zero"),
+        (mk(chi=1e-20), "interior"),
+    ])
+    def test_ill_conditioned_corners_solve_to_rounding(self, p, path):
+        # the exact Jacobian takes these corners well inside the 1e-10 gate
+        rep = solve(p)
+        assert rep.diagnostics["path"] == path
+        assert max(rep.residuals.values()) <= 1e-12, rep.residuals
+
 
 class TestUnprofitableSolve:
     def test_reference_window(self, neg_params):
@@ -343,6 +358,14 @@ class TestUnprofitableSolve:
     def test_requires_negative_drift(self, pos_params, pos_roots):
         with pytest.raises(OutOfRangeError):
             solve_unprofitable(pos_params, pos_roots)
+
+    def test_hybrid_solve_requires_nonnegative_drift(self):
+        # at mu < 0 and beta > pv the optimum is the half-line liquidation,
+        # which solve_hybrid must not return as a profitable hybrid
+        p = mk(mu=-1.0, chi=0.15, beta=0.95)
+        with pytest.raises(OutOfRangeError, match="mu >= 0"):
+            solver.solve_hybrid(p, solve_roots(p))
+        assert solve(p).regime is Regime.UNPROFITABLE_LIQUIDATION_HALF
 
     def test_zero_fixed_cost_liquidation_is_out_of_range(self):
         # b1 falls toward 0 with chi (about as its square root): at chi = 0

@@ -18,7 +18,7 @@ from divopt import (
     solve_roots,
 )
 from divopt.strategies import nets_positive
-from divopt.values import hybrid_kernel
+from divopt.values import complex_step, hybrid_kernel
 from divopt.verify import hybrid_objective
 
 
@@ -119,11 +119,13 @@ class TestHybridCoefficients:
                     ValueFunction(p, r, st)
 
 
+# (a, l, y) points of the hybrid kernel, from a = l = 0 to r1 y in the thousands
+KERNEL_POINTS = [(0.3, 0.1, 1.0), (0.0, 0.0, 0.5), (0.2, 2.0, 40.0), (0.1, 5.0, 900.0),
+                 (0.0, 0.3, 1e4)]
+
+
 class TestHybridKernel:
-    @pytest.mark.parametrize(
-        "a, l, y",
-        [(0.3, 0.1, 1.0), (0.0, 0.0, 0.5), (0.2, 2.0, 40.0), (0.1, 5.0, 900.0), (0.0, 0.3, 1e4)],
-    )
+    @pytest.mark.parametrize("a, l, y", KERNEL_POINTS)
     def test_solver_view_matches_value_function(self, pos_params, pos_roots, a, l, y):
         # the solver reads V' at the barriers straight from the kernel; the
         # evaluator builds its pieces from the same coefficients
@@ -139,6 +141,31 @@ class TestHybridKernel:
         obj = float(hybrid_objective(pos_params, pos_roots, a, l, y))
         ref = float(vf(st.a_c)) - pos_params.beta * st.a_c
         assert obj == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("a, l, y", KERNEL_POINTS + [(0.3, 0.08, 1e-5)])
+    def test_complex_step_derivatives_match_differences(self, pos_params, pos_roots, a, l, y):
+        # moved by ih in one of (a, l, y), the kernel on complex points keeps
+        # the float outputs as its real parts and carries their derivatives as
+        # imag/h. A five-point central difference of the float kernel checks
+        # them; the absolute floor is for entries of about 1e-17 and below,
+        # which the difference leaves in its own rounding
+        h = 1e-200
+        kernel = hybrid_kernel(pos_params, pos_roots)
+        cs_kernel = hybrid_kernel(pos_params, pos_roots, complex_step)
+        ref = kernel(a, l, y)
+        for j in range(3):
+            def at(t):  # (a, l, y) with its j-th entry moved by t
+                x = [a, l, y]
+                x[j] += t
+                return x
+
+            out = cs_kernel(*at(1j * h))
+            assert [v.real for v in out] == pytest.approx(ref, rel=1e-14, abs=0.0), j
+            d = 3e-3 * ([a, l, y][j] or 0.1)
+            f2, f1, m1, m2 = (kernel(*at(t)) for t in (2.0 * d, d, -d, -2.0 * d))
+            for i in (0, 1, 2, 9):  # V' at a, a_c and b-, and vp_gap
+                diff = (m2[i] - f2[i] + 8.0 * (f1[i] - m1[i])) / (12.0 * d)
+                assert out[i].imag / h == pytest.approx(diff, rel=1e-6, abs=1e-10), (j, i)
 
     def test_every_exponential_is_bounded(self, pos_params, pos_roots):
         # r1 d in the tens of thousands: all outputs stay finite, from the
