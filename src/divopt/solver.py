@@ -19,12 +19,12 @@ b2 is finite, V'(b2+) = beta. So a periodic barrier b0 solves V'(b0) = 1
 on [0, a_bar], or is 0 when V'(0) <= 1.
 
 A hybrid's three conditions are one system in (a_c, log l, log y), with
-l = a_c - a_p and y = b - a_c. Its paths, tried in this order: a_p = a_c
-= 0, accepted when V'(0) <= beta; then one damped Newton over the
-unknowns left free by l = 0 (beta = 1 only), by a_p = 0 (accepted when
-V'(0) <= 1), or by no pin. A bracketed search on V'(b-) = beta
-(_upper_gap) gives the first path's y and each Newton's starting y, and
-runs inside no Newton.
+l = a_c - a_p and y = b - a_c. After a_p = a_c = 0, accepted when V'(0)
+<= beta, one damped Newton solves it (l = 0 pinned at beta = 1), its a_p
+row a Fischer-Burmeister function of a_p >= 0 and V'(a_p) <= 1, so that
+it ends on a_p = 0 or on V'(a_p) = 1, whichever holds. A bracketed search
+on V'(b-) = beta (_upper_gap) gives the first path's y and the Newton's
+starting y, and runs inside no Newton.
 
 For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
 is Hybrid(0, 0, b1) below b2, so b1 is the upper-gap search at a = l = 0,
@@ -142,22 +142,15 @@ def classify_regime(params: ModelParams, roots: Roots) -> Regime:
 
 
 def periodic_b0(params: ModelParams, roots: Roots) -> float:
-    """Optimal pure-periodic barrier b0, the smooth fit of PeriodicBarrier(b0).
-
-    Zero when V'(0) <= 1; otherwise the unique level in [0, a_bar] with
-    V'(b0) = 1: the hybrid kernel's a-search at l = 0 with b at infinity.
-    """
-    return _periodic_b0(params, roots)[0]
+    """Optimal pure-periodic barrier b0, the smooth fit of PeriodicBarrier(b0)."""
+    return _b0(roots, hybrid_kernel(params, roots))
 
 
-def _periodic_b0(params: ModelParams, roots: Roots) -> tuple[float, int]:
-    """periodic_b0 and the number of kernel calls it took."""
-    kernel = _counted(hybrid_kernel(params, roots))
+def _b0(roots: Roots, kernel) -> float:
+    """b0: 0 if V'(0) <= 1, else V'(b0) = 1 on [0, a_bar], by the kernel at l = 0, b = inf."""
     slope_gap = lambda a: kernel(a, 0.0, math.inf)[0] - 1.0
     g0 = slope_gap(0.0)
-    if g0 <= 0.0:
-        return 0.0, kernel.n
-    return bisect_secant(slope_gap, 0.0, roots.a_bar, g0), kernel.n
+    return 0.0 if g0 <= 0.0 else bisect_secant(slope_gap, 0.0, roots.a_bar, g0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +188,31 @@ def _upper_gap(
 def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> SolveReport:
     """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta).
 
-    With l = a_c - a_p and y = b - a_c, the cases are tried in turn, each
-    accepted by a sign; diagnostics["path"] names the one taken:
+    With l = a_c - a_p and y = b - a_c, diagnostics["path"] names the case:
 
     * ap_ac_zero: a_p = a_c = 0 with y from _upper_gap, accepted when
       V'(0) <= beta there;
     * ac_equals_ap (beta = 1 only, where V'(a_p) = V'(a_c) = 1): l = 0,
-      unknowns (a_c, log y) from a_c = a_bar / 2, accepted always;
-    * ap_zero: a_p = 0, unknowns (log l, log y) from l = 1 / (4 |s1|),
-      accepted when V'(0) <= 1;
-    * interior: unknowns (a_c, log l, log y) from a_p = a_bar / 2 and
-      ap_zero's l.
+      unknowns (a_c, log y) from a_c = a_bar / 2;
+    * otherwise unknowns (a_c, log l, log y) from l = 1 / (4 |s1|) and
+      a_p = b0, the periodic barrier (no probed optimum had a_p below it):
+      ap_zero when the Newton ends at a_p = 0, else interior.
 
-    The last three are one damped Newton, whose rows are V'(b-) - beta,
-    G = (V'(a_c) - V'(b-)) / y and, with all three unknowns free,
-    V'(a_p) - 1. G vanishes with V'(a_c) - beta there but keeps its scale
-    as y falls with chi. y starts on V'(b-) = beta (_upper_gap); no search
-    runs after. The Jacobian is exact: its columns are Im(rows)/h at the
-    unknowns moved by a complex step ih (the kernel on complex points).
-    Each pin is one 3 x 3 step in floats, the pinned unknown taking the
-    unused V'(a_p) - 1 row. A step is scaled to move log l by at most 2 and
-    a_p, to first order, at most halfway to an end of [0, a_bar], then
-    halved until it makes progress: a lower max |F|, or a shorter Newton
-    correction under the same Jacobian. A trial that moves y by a factor
-    of 16 or more heads for another root of V'(b-) = beta and is halved.
+    Both are one damped Newton with rows phi(a_p |s1|, 1 - V'(a_p)) (0
+    under the pin), G = (V'(a_c) - V'(b-)) / y and V'(b-) - beta. The
+    Fischer-Burmeister phi(u, v) = u + v - sqrt(u^2 + v^2) is 0 iff u, v >=
+    0 = u v: _report's rule, V'(a_p) = 1 or a_p = 0 with V'(0) <= 1. G
+    vanishes with V'(a_c) - beta there but keeps its scale as y falls with
+    chi. y starts on V'(b-) = beta (_upper_gap); no search runs after. The
+    Jacobian is exact (at phi's kink, a generalized one): its columns are
+    Im(rows)/h at the unknowns moved by a complex step ih. A step is scaled
+    to move log l by at most 2 and a_p, to first order, at most halfway to
+    a_bar, then halved until it makes progress: a lower max |F|, or a
+    shorter Newton correction under the same Jacobian. A trial is the float
+    levels a Hybrid holds, so the gate reads the point solved, with a_p at
+    or below their rounding set to 0; one moving y by a factor of 16 or more
+    heads for another root of V'(b-) = beta and is halved. A step below the
+    levels' rounding is tried once, and ends the Newton.
 
     A Newton that stops with max |F| >= tol raises DivoptError. mu < 0, and
     chi = 0, where the optimum has b = a_c, which no Hybrid is, raise
@@ -233,7 +227,7 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
     abar = roots.a_bar
     len_s = 1.0 / abs(roots.s1)
     kernel = _counted(hybrid_kernel(params, roots))
-    gap_kernel = _counted(kernel)  # the upper-gap searches' calls
+    gap_kernel = _counted(kernel)  # the bracketed searches' calls
     cs_kernel = _counted(hybrid_kernel(params, roots, complex_step))
     n_steps = 0
 
@@ -245,34 +239,39 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
         return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y),
                        tol, diagnostics)
 
-    def newton(pin: int | None, a: float, l: float):
-        # over (a_c, log l, log y); pin 0 holds a = 0, pin 1 l = 0. The pinned
-        # unknown takes row 0, as V'(a) - 1 is no condition at a = 0, nor y G +
-        # V'(b-) - beta at l = 0: residual 0 and column (1, 0, 0), so step 0
+    def phi(u, v):  # u + v - sqrt(u^2 + v^2), without its cancellation where u + v > 0
+        r = (u * u + v * v) ** 0.5
+        return 2.0 * u * v / (u + v + r) if (u + v).real > 0.0 else u + v - r
+
+    def newton(a: float, l: float):
+        # over (a_c, log l, log y); pinned, log l takes row 0, column (1, 0, 0): step 0
         nonlocal n_steps
-        rows = lambda k, y: (k[0] - 1.0 if pin is None else 0.0, k[9] / y, k[2] - beta)
-        residual = lambda k: max(abs(k[0] - 1.0) if pin != 0 else 0.0,
-                                 abs(k[1] - beta), abs(k[2] - beta))  # max |F|
+        rows = lambda k, a, y: (0.0 if pinned else phi(a / len_s, 1.0 - k[0]),
+                                k[9] / y, k[2] - beta)
+        residual = lambda k, a: max(abs(k[0] - 1.0 if pinned else phi(a / len_s, 1.0 - k[0])),
+                                    abs(k[1] - beta), abs(k[2] - beta))  # max |F|
         correction = lambda r: [-sum(u * v for u, v in zip(row, r)) for row in inv]
         relative = lambda d: max(abs(u) / c for u, c in zip(d, scale))
 
-        def move(d):  # the levels after a step d in (a_c, log l, log y)
-            l1 = l * math.exp(d[1])
-            return (a + l + d[0] - l1 if pin != 0 else a), l1, y * math.exp(d[2])
+        def move(dc, dt, dy):  # (a, l, y) of the float levels after a step
+            l1 = l * math.exp(dt)
+            a1 = a + l + dc - l1
+            a1 = a1 if a1 > _STEP_TOL * (a + l + len_s) else 0.0
+            ac1 = a1 + l1
+            return a1, ac1 - a1, ac1 + y * math.exp(dy) - ac1
 
         y = _upper_gap(params, roots, gap_kernel, a, l)
         k = kernel(a, l, y)
-        err = residual(k)
+        err = residual(k, a)
         for _ in range(_MAX_NEWTON):
             if not err > _F_FLOOR:
                 break
             # column j, exactly: Im(rows)/h with unknown j moved by ih (a step in
             # log l holds a_c); the inverse's rows are the columns' cross products
             scale, ih = (a + l + len_s, 1.0, 1.0), 1j * _CS_STEP
-            points = ((a + ih, l, y), (a - ih * l if pin != 0 else a, l + ih * l, y),
-                      (a, l, y + ih * y))
-            cols = [(1.0, 0.0, 0.0) if j == pin else
-                    [v.imag / _CS_STEP for v in rows(cs_kernel(*pt), pt[2])]
+            points = ((a + ih, l, y), (a - ih * l, l + ih * l, y), (a, l, y + ih * y))
+            cols = [(1.0, 0.0, 0.0) if pinned and j == 1 else
+                    [v.imag / _CS_STEP for v in rows(cs_kernel(*pt), pt[0], pt[2])]
                     for j, pt in enumerate(points)]
             adj = [(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                     u[0] * v[1] - u[1] * v[0])
@@ -282,47 +281,45 @@ def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> Solve
                 break  # singular: no Newton direction
             inv = [[u / det for u in row] for row in adj]
             n_steps += 1
-            step = correction(rows(k, y))
+            step = correction(rows(k, a, y))
             size = relative(step)
-            if not size > _STEP_TOL:
-                break  # below rounding of the barriers: converged
+            last = not size > _STEP_TOL  # below rounding of the barriers: one trial, then stop
             # one factor scales the whole step, keeping Newton's direction: it
             # caps the step in log l and stops a, to first order, halfway to
-            # an end of [0, a_bar]; halving brings any trial a back inside
-            dc, dt, _ = step
+            # a_bar; halving brings any trial a back below a_bar
+            dc, dt, dy = step
             s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
-            da = dc - l * dt if pin != 0 else 0.0
-            if not 0.0 <= a + s * da <= abar:
-                s = 0.5 * ((abar - a) if da > 0.0 else -a) / da
+            da = dc - l * dt
+            if a + s * da > abar:
+                s = 0.5 * (abar - a) / da
             progress = False
-            for _ in range(_MAX_HALVINGS):
-                a1, l1, y1 = move([s * u for u in step])
-                if 0.0 <= a1 <= abar and y / _Y_JUMP < y1 < _Y_JUMP * y:
-                    k1 = kernel(a1, l1, y1)
-                    err1 = residual(k1)
-                    # accept a lower max |F|, or a shorter Newton correction
-                    # (the rows' scales differ by orders as y falls)
-                    shorter = relative(correction(rows(k1, y1))) < size
-                    progress = err1 < err or shorter
-                    if progress:
-                        break
+            for _ in range(1 if last else _MAX_HALVINGS):
+                # a trial moving y by a factor _Y_JUMP or more is refused before
+                # exp, which a long step in log y would overflow
+                if abs(s * dy) < math.log(_Y_JUMP):
+                    a1, l1, y1 = move(s * dc, s * dt, s * dy)
+                    if a1 <= abar:
+                        k1 = kernel(a1, l1, y1)
+                        err1 = residual(k1, a1)
+                        # accept a lower max |F|, or a shorter Newton correction
+                        # (the rows' scales differ by orders as y falls)
+                        progress = err1 < err or relative(correction(rows(k1, a1, y1))) < size
+                        if progress:
+                            break
                 s *= 0.5
-            if not progress:
-                break  # no step makes progress: rounding inside the gate, else a stall
-            a, l, y, k, err = a1, l1, y1, k1, err1
-        return a, l, y, k, err
+            if progress:
+                a, l, y, k, err = a1, l1, y1, k1, err1
+            if last or not progress:
+                break  # converged, or no progress: rounding inside the gate, else a stall
+        return a, l, y, err
 
     y = _upper_gap(params, roots, gap_kernel, 0.0, 0.0)
     if kernel(0.0, 0.0, y)[0] <= beta:
         return report("ap_ac_zero", 0.0, 0.0, y)
-    if beta == 1.0:
-        a, l, y, _, err = newton(1, 0.5 * abar, 0.0)
-        return report("ac_equals_ap", a, l, y, err)
-    a, l, y, k, err = newton(0, 0.0, 0.25 * len_s)
-    if k[0] <= 1.0:
-        return report("ap_zero", a, l, y, err)
-    a, l, y, _, err = newton(None, 0.5 * abar, l)
-    return report("interior", a, l, y, err)
+    pinned = beta == 1.0
+    a, l, y, err = newton(0.5 * abar, 0.0) if pinned else newton(_b0(roots, gap_kernel), len_s / 4)
+    return report("ac_equals_ap" if pinned else "ap_zero" if a == 0.0 else "interior",
+                  a, l, y, err)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +415,10 @@ def solve(params: ModelParams, tol: float = 1e-10) -> SolveReport:
     roots = solve_roots(params)
     regime = classify_regime(params, roots)
     if regime is Regime.PROFITABLE_PERIODIC:
-        b0, n = _periodic_b0(params, roots)
+        kernel = _counted(hybrid_kernel(params, roots))
+        b0 = _b0(roots, kernel)
         diagnostics = {"path": "smooth_fit" if b0 > 0.0 else "b0_zero",
-                       "n_kernel_evals": n, "n_iters": n}
+                       "n_kernel_evals": kernel.n, "n_iters": kernel.n}
         return _report(regime, params, roots, PeriodicBarrier(b0), tol, diagnostics)
     if regime is Regime.PROFITABLE_HYBRID:
         return solve_hybrid(params, roots, tol)

@@ -64,8 +64,6 @@ def _payment_targets(x: np.ndarray, levels: list[float], density: int) -> np.nda
     going from n to 2n - 1, twice the parts per cell, keeps every coarser
     target); the strategy levels are added exactly.
     """
-    if not (x >= 0.0).all():
-        raise ValueError("x_grid must be non-negative")
     nodes = np.unique(np.append(x, 0.0))
     u = np.linspace(0.0, 1.0, density)[1:-1]
     fill = nodes[:-1, None] + np.diff(nodes)[:, None] * u
@@ -112,7 +110,8 @@ def check_hjb(
     resid_generator is condition A's left side, NaN within KINK_WINDOW of a
     kink, where it is skipped (V'' is undefined there); resid_payment is
     the gain of the best payment xi > 0 (-inf at x = 0), whose positive
-    part is condition B's residual. x_grid must be non-negative.
+    part is condition B's residual. x_grid must be non-empty, finite and
+    non-negative; the check fails unless condition A is evaluated somewhere.
     """
     vf = ValueFunction(params, roots, strategy)
     levels = _strategy_levels(strategy)
@@ -120,6 +119,8 @@ def check_hjb(
         top = max(levels) if levels else 1.0 / abs(roots.s1) + 1.0 / roots.r1
         x_grid = np.linspace(0.0, 3.0 * top, 2000)
     x = np.asarray(x_grid, dtype=float)
+    if not (x.size and np.isfinite(x).all() and (x >= 0.0).all()):
+        raise ValueError("x_grid must be non-empty, finite and non-negative")
 
     y = _payment_targets(x, levels, xi_grid_density)
     vy = vf(y)
@@ -162,7 +163,7 @@ def check_hjb(
         worst_x_generator=worst_a,
         max_payment_residual=max_b,
         worst_x_payment=worst_b,
-        passed=(max_a <= tol) and (max_b <= tol),
+        passed=bool(ok_a.any()) and (max_a <= tol) and (max_b <= tol),
         generator_argmax_xi=argmax_xi,
         x_generator=x,
         resid_generator=resid_a,

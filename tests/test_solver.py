@@ -286,6 +286,34 @@ class TestHybridSolve:
         assert rep.diagnostics["path"] == path
         assert max(rep.residuals.values()) <= 1e-12, rep.residuals
 
+    @pytest.mark.parametrize("p", [
+        ModelParams(2.417520520219394, 0.11546005423511091, 2.8566482394534932e-15,
+                    0.9613505354921658, 2.398973124404126, 0.14394024346725431),
+        ModelParams(1.709850910030712, 0.26984179617428083, 5.803582750881461e-13,
+                    0.9426346003710123, 1.0162874104208022, 0.3398329101821408),
+    ])
+    def test_long_upper_gap_step_solves(self, p):
+        # widened-box draws kept for the 16x y-jump guard: a trial's step d in
+        # log y is refused from d itself, before y * exp(d) can overflow into a
+        # bare OverflowError
+        rep = solve(p)
+        assert rep.regime is Regime.PROFITABLE_HYBRID
+        assert max(rep.residuals.values()) < 1e-10, rep.residuals
+        assert check_hjb(p, solve_roots(p), rep.strategy).passed
+
+    def test_ap_zero_meets_interior_continuously(self):
+        # a_p leaves 0 as mu crosses mu* (sigma = 1.5, beta = pv + 0.6 (1 - pv)):
+        # just below, the one Newton ends on a_p = 0 exactly, just above on a
+        # small a_p > 0, and a_c and b move by about the step in mu
+        pv = 1.0 / 1.15
+        mu_star = 0.1335119576
+        below, above = (solve(mk(mu=mu_star * (1.0 + e), sigma=1.5, beta=pv + 0.6 * (1.0 - pv)))
+                        for e in (-1e-6, 1e-6))
+        assert below.diagnostics["path"] == "ap_zero" and below.strategy.a_p == 0.0
+        assert above.diagnostics["path"] == "interior" and 0.0 < above.strategy.a_p <= 1e-5
+        lo, hi = below.strategy, above.strategy
+        assert hi.a_c == pytest.approx(lo.a_c, rel=1e-5) and hi.b == pytest.approx(lo.b, rel=1e-5)
+
 
 class TestUnprofitableSolve:
     def test_reference_window(self, neg_params):

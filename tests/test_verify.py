@@ -53,6 +53,21 @@ class TestCheckHJB:
         assert hjb.x_generator.max() == pytest.approx(3.0 * (1.0 / abs(r.s1) + 1.0 / r.r1))
         assert hjb.passed
 
+    @pytest.mark.parametrize("grid", [[], [math.nan, 1.0], [0.0, math.inf], [1.0, -1.0]],
+                             ids=["empty", "nan", "inf", "negative"])
+    def test_degenerate_grid_is_rejected(self, pos_params, pos_roots, solved, grid):
+        with pytest.raises(ValueError, match="non-empty, finite and non-negative"):
+            check_hjb(pos_params, pos_roots, solved, x_grid=np.array(grid))
+
+    def test_grid_inside_the_kink_window_does_not_pass(self, pos_params, pos_roots, solved):
+        # condition A is skipped within KINK_WINDOW of b, so on this grid it is
+        # evaluated nowhere: a check that checked nothing must not pass
+        b = solved.b
+        rep = check_hjb(pos_params, pos_roots, solved, x_grid=np.array([b - 5e-7, b, b + 5e-7]))
+        assert rep.max_generator_violation == -math.inf
+        assert rep.max_payment_residual <= rep.tol
+        assert not rep.passed
+
     def test_liquidation_window_passes(self, neg_params, neg_roots):
         st = solve(neg_params).strategy
         rep = check_hjb(neg_params, neg_roots, st)
