@@ -159,10 +159,12 @@ def hybrid_kernel(params: ModelParams, roots: Roots, xp=math):
 
     kernel(a, l, y), at lower barrier a and gaps l = a_c - a, y = b - a_c,
     all scalars, returns (vp_a, vp_ac, vp_b, C, B, A_hat, den, f(a), P,
-    vp_gap): V' at a, a_c and b-, the coefficients with A_hat = A e^{r1 d}
-    (d = l + y), the shifted denominator, stage 1's f(a) and P (den's limit
-    as d grows), and vp_gap = vp_ac - vp_b, formed from the gap factors so
-    that it keeps its relative precision as y -> 0. It is stage 2 over _hybrid_factors' stage 1: with
+    vp_gap, B - A): V' at a, a_c and b-, the coefficients with A_hat =
+    A e^{r1 d} (d = l + y), the shifted denominator, stage 1's f(a) and P
+    (den's limit as d grows), vp_gap = vp_ac - vp_b, formed from the gap
+    factors so that it keeps its relative precision as y -> 0, and B - A,
+    which V's derivatives on [a, b) read. It is stage 2 over
+    _hybrid_factors' stage 1: with
     E = e^{-r1 d}, g(d,l) = g(d) - g(l) and J(d,l) = J(d) - J(l),
 
         den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
@@ -196,7 +198,7 @@ def hybrid_kernel(params: ModelParams, roots: Roots, xp=math):
         vp_ac = A_hat * r1 * ey + bt * s1 * es1l + pv
         vp_b = A_hat * r1 + bt * s1 * (es1l + ds1) + pv
         vp_gap = -(A_hat * r1 * (gdl + ds1 * E) + bt * s1 * ds1)  # vp_ac - vp_b
-        return C * fpa, vp_ac, vp_b, C, B, A_hat, den, fa, P, vp_gap
+        return C * fpa, vp_ac, vp_b, C, B, A_hat, den, fa, P, vp_gap, bt
 
     return kernel
 
@@ -265,7 +267,7 @@ class ValueFunction:
             raise ValueError(f"need b > a_c + chi/beta = {a_c + chi / beta}, got b={b}")
         if roots.r0 * a > _LOG_DBL_MAX:
             raise OutOfRangeError(f"f(a) overflows at lower barrier a={a}: r0 a > log(DBL_MAX)")
-        C, B, A_hat, den, fa, P = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)[3:9]
+        C, B, A_hat, den, fa, P, _, bt = hybrid_kernel(params, roots)(a, a_c - a, b - a_c)[3:]
         # P (below) bounds den and f'(a); it overflows before f(a) does
         # once r0 - s1 delta/(g+d) > 1
         if not math.isfinite(P):
@@ -276,17 +278,23 @@ class ValueFunction:
             raise DegenerateDenominatorError(
                 f"C denominator degenerate at (a={a}, a_c={a_c}, b={b}): {den!r}"
             )
-        # E through np.exp, as mid's e^{r1 (x - b)}: at x = a the A_hat
-        # terms cancel exactly, so V(0) = 0 when a = 0
+        # E through np.exp, as mid's e^{r1 (x - b)}: at x = a V's A_hat terms
+        # cancel exactly, so V(0) = 0 when a = 0
         E = np.exp(r1 * (a - b))
         c0 = pv * (m1 + C * fa - a)  # V(a) = C f(a)
 
         def mid(x, k):
             es1u = s1**k * np.exp(s1 * (x - a))
-            v = B * es1u + _affine(x, k, pv, c0)
-            if b < math.inf:  # at b = inf the A_hat terms are 0 everywhere
-                v += A_hat * (r1**k * np.exp(r1 * (x - b)) - E * es1u)
-            return v
+            v = _affine(x, k, pv, c0)
+            if b == math.inf:  # the A_hat terms are 0 everywhere
+                return v + B * es1u
+            er1u = r1**k * np.exp(r1 * (x - b))
+            # where |s1| is large, B and A alone give terms far above V', and
+            # an ulp of E in A = A_hat E moves V'(a_c) by more than 1e-10: the
+            # derivatives take B - A as the kernel, which the solver reads, has it
+            if k:
+                return v + bt * es1u + A_hat * er1u
+            return v + B * es1u + A_hat * (er1u - E * es1u)
 
         # (upper_bound, fn) with fn(x, k) the k-th derivative on the piece;
         # the last upper bound is inf

@@ -167,6 +167,22 @@ class TestHybridKernel:
                 diff = (m2[i] - f2[i] + 8.0 * (f1[i] - m1[i])) / (12.0 * d)
                 assert out[i].imag / h == pytest.approx(diff, rel=1e-6, abs=1e-10), (j, i)
 
+    @pytest.mark.parametrize("p", [
+        ModelParams(20.34644543283032, 0.023520452493952737, 0.00024670527376116045,
+                    0.9685642075615575, 0.01422182289166341, 0.08621089366408759),
+        ModelParams(55.10262613625536, 0.02240635932289134, 0.02782696859359595,
+                    0.9974842636307751, 0.02246552287832719, 0.007392323474697158),
+    ])
+    def test_stiff_hybrid_slope_at_ac_matches_the_kernel(self, p):
+        # |s1| about 7e4 and 2.2e5: B e^{s1 u} and A e^{s1 u} are each about
+        # 5e7 in V'(a_c), so the evaluator forms B - A first, as the kernel
+        # does; apart, their rounding alone missed the 1e-10 gate
+        rep = solve(p)
+        st, roots = rep.strategy, solve_roots(p)
+        vp_ac = hybrid_kernel(p, roots)(st.a_p, st.a_c - st.a_p, st.b - st.a_c)[1]
+        assert float(ValueFunction(p, roots, st).d1(st.a_c)) == pytest.approx(vp_ac, abs=1e-13)
+        assert max(rep.residuals.values()) < 1e-10, rep.residuals
+
     def test_every_exponential_is_bounded(self, pos_params, pos_roots):
         # r1 d in the tens of thousands: all outputs stay finite, from the
         # kernel (floats) and from the separable V(a_c) (arrays)
