@@ -19,12 +19,12 @@ b2 is finite, V'(b2+) = beta. So a periodic barrier b0 solves V'(b0) = 1
 on [0, a_bar], or is 0 when V'(0) <= 1.
 
 A hybrid's three conditions are one system in (a_c, log l, log y), with
-l = a_c - a_p and y = b - a_c. After a_p = a_c = 0, accepted when V'(0)
-<= beta, one damped Newton solves it (l = 0 pinned at beta = 1), its a_p
-row a Fischer-Burmeister function of a_p >= 0 and V'(a_p) <= 1, so that
-it ends on a_p = 0 or on V'(a_p) = 1, whichever holds. A bracketed search
-on V'(b-) = beta (_upper_gap) gives the first path's y and the Newton's
-starting y, and runs inside no Newton.
+l = a_c - a_p and y = b - a_c, which one damped Newton solves (l = 0
+pinned at beta = 1). Its a_p and a_c rows are Fischer-Burmeister functions
+of the pairs a_p >= 0, V'(a_p) <= 1 and a_c >= 0, V'(a_c) <= beta, so it
+ends on a_p = 0 or V'(a_p) = 1, and on a_c = 0 or V'(a_c) = beta,
+whichever holds. One bracketed search on V'(b-) = beta (_upper_gap) gives
+its starting y, and runs inside no Newton.
 
 For mu < 0 the regime follows from closed forms. A liquidation (b1, b2)
 is Hybrid(0, 0, b1) below b2, so b1 is the upper-gap search at a = l = 0,
@@ -63,12 +63,13 @@ class SolveReport:
     """A solved strategy, its smooth-fit residuals and how the solve went.
 
     residuals has a key per condition its levels bind: vprime_ap, vprime_ac,
-    vprime_b, vprime_b2. diagnostics has fixed keys: path, the route taken
-    (hybrid: ap_ac_zero, ap_zero, ac_equals_ap or interior; liquidation:
-    window or half_line; periodic: b0_zero or smooth_fit; periodic-zero:
-    closed_form); n_kernel_evals, the hybrid-kernel calls; and n_iters, the
-    Newton steps plus the evaluations of the bracketed equation (V'(b-) =
-    beta for a hybrid's y or a liquidation's b1, V'(b0) = 1 for b0).
+    vprime_b, vprime_b2. diagnostics has fixed keys: path, the case the
+    solved levels fall in (hybrid: ap_ac_zero, ap_zero, ac_equals_ap or
+    interior; liquidation: window or half_line; periodic: b0_zero or
+    smooth_fit; periodic-zero: closed_form); n_kernel_evals, the
+    hybrid-kernel calls; and n_iters, the Newton steps plus the evaluations
+    of the bracketed equation (V'(b-) = beta for a hybrid's y or a
+    liquidation's b1, V'(b0) = 1 for b0).
     """
 
     regime: Regime
@@ -170,13 +171,12 @@ def _upper_gap(
 ) -> float:
     """y = b - a_c solving V'(b-) = beta for Hybrid(a, a + l, a + l + y).
 
-    A liquidation's b1 (a = l = 0), the ap_ac_zero hybrid's y, and each
-    hybrid Newton's starting y. A gap y <= chi/beta nets nothing, so the
-    root lies above it; as chi falls the root falls with it (a liquidation's
-    b1 about as sqrt(chi), a hybrid's y about as chi^(1/3)), so no fixed
-    floor stays below it. From there the bracket grows geometrically,
-    unless y_max, known to lie above the root and below any second one,
-    closes it.
+    A liquidation's b1 (a = l = 0) and the hybrid Newton's starting y. A
+    gap y <= chi/beta nets nothing, so the root lies above it; as chi falls
+    the root falls with it (a liquidation's b1 about as sqrt(chi), a
+    hybrid's y about as chi^(1/3)), so no fixed floor stays below it. From
+    there the bracket grows geometrically, unless y_max, known to lie above
+    the root and below any second one, closes it.
     """
     fn = lambda y: kernel(a, l, y)[2] - params.beta
     x0 = params.chi / params.beta
@@ -188,138 +188,133 @@ def _upper_gap(
 def solve_hybrid(params: ModelParams, roots: Roots, tol: float = 1e-10) -> SolveReport:
     """Optimal hybrid (a_p, a_c, b) for mu >= 0, beta > gamma/(gamma+delta).
 
-    With l = a_c - a_p and y = b - a_c, diagnostics["path"] names the case:
+    One damped Newton over (a_c, log l, log y), with l = a_c - a_p and
+    y = b - a_c, solves the rows
 
-    * ap_ac_zero: a_p = a_c = 0 with y from _upper_gap, accepted when
-      V'(0) <= beta there;
-    * ac_equals_ap (beta = 1 only, where V'(a_p) = V'(a_c) = 1): l = 0,
-      unknowns (a_c, log y) from a_c = a_bar / 2;
-    * otherwise unknowns (a_c, log l, log y) from l = 1 / (4 |s1|) and
-      a_p = b0, the periodic barrier (no probed optimum had a_p below it):
-      ap_zero when the Newton ends at a_p = 0, else interior.
+        phi(a_p |s1|, 1 - V'(a_p)),  phi(a_c |s1|, -G / |s1|),  V'(b-) - beta,
 
-    Both are one damped Newton with rows phi(a_p |s1|, 1 - V'(a_p)) (0
-    under the pin), G = (V'(a_c) - V'(b-)) / y and V'(b-) - beta. The
-    Fischer-Burmeister phi(u, v) = u + v - sqrt(u^2 + v^2) is 0 iff u, v >=
-    0 = u v: _report's rule, V'(a_p) = 1 or a_p = 0 with V'(0) <= 1. G
-    vanishes with V'(a_c) - beta there but keeps its scale as y falls with
-    chi. y starts on V'(b-) = beta (_upper_gap); no search runs after. The
-    Jacobian is exact (at phi's kink, a generalized one): its columns are
-    Im(rows)/h at the unknowns moved by a complex step ih. A step is scaled
-    to move log l by at most 2 and a_p, to first order, at most halfway to
-    a_bar, then halved until it makes progress: a lower max |F|, or a
-    shorter Newton correction under the same Jacobian. A trial is the float
-    levels a Hybrid holds, so the gate reads the point solved, with a_p at
-    or below their rounding set to 0; one moving y by a factor of 16 or more
-    heads for another root of V'(b-) = beta and is halved. A step below the
-    levels' rounding is tried once, and ends the Newton.
+    with G = (V'(a_c) - V'(b-)) / y. The Fischer-Burmeister phi(u, v) =
+    u + v - sqrt(u^2 + v^2) is 0 iff u, v >= 0 = u v: _report's rule,
+    V'(a_p) = 1 or a_p = 0 with V'(0) <= 1, and V'(a_c) = beta or a_c = 0
+    with V'(0) <= beta. G vanishes with V'(a_c) - beta there but keeps its
+    scale as y falls with chi. The Newton starts from l = 1 / (4 |s1|),
+    a_p = b0, the periodic barrier (no probed optimum had a_p below it),
+    and y on V'(b-) = beta (_upper_gap), the solve's one bracketed search;
+    at beta = 1, where V'(a_p) = V'(a_c) = 1, from a_p = a_bar / 2 and l = 0,
+    pinned (row 0 is 0). The Jacobian is exact (at phi's kink, a
+    generalized one): its columns are Im(rows)/h at the unknowns moved by a
+    complex step ih. A step is scaled to move log l by at most 2 and a_p,
+    to first order, at most halfway to a_bar, then halved until it makes
+    progress: a lower max |F|, or a shorter Newton correction under the
+    same Jacobian. A trial is the float levels a Hybrid holds, so the gate
+    reads the point solved, with a_p at or below their rounding set to 0,
+    and l too where a_c's Newton target lies there; from l = 0 the step is
+    in l |s1|, not log l. One moving y by a factor of 16 or more heads for
+    another root of V'(b-) = beta and is halved. A step below the levels'
+    rounding is tried once and ends the Newton; inside the gate, so does
+    one that leaves max |F| where it was, at its rounding.
 
-    A Newton that stops with max |F| >= tol raises DivoptError. mu < 0, and
-    chi = 0, where the optimum has b = a_c, which no Hybrid is, raise
-    OutOfRangeError before any search.
+    diagnostics["path"] is read from the solved levels: ap_ac_zero (a_p =
+    a_c = 0), ap_zero (a_p = 0 < a_c), ac_equals_ap (a_c = a_p > 0), else
+    interior. A Newton that stops with max |F| >= tol raises DivoptError.
+    mu < 0, and chi = 0, where the optimum has b = a_c, which no Hybrid is,
+    raise OutOfRangeError before any search.
     """
     if params.mu < 0.0 or params.beta <= roots.pvfactor:
         raise OutOfRangeError("hybrid solve requires mu >= 0 and beta > gamma/(gamma+delta)")
     if params.chi == 0.0:
         raise OutOfRangeError("at chi = 0 the optimal b -> a_c (pay the excess now), "
                               "which Hybrid(a_p, a_c, b > a_c) cannot represent")
-    beta = params.beta
-    abar = roots.a_bar
-    len_s = 1.0 / abs(roots.s1)
+    beta, abar, len_s = params.beta, roots.a_bar, 1.0 / abs(roots.s1)
     kernel = _counted(hybrid_kernel(params, roots))
     gap_kernel = _counted(kernel)  # the bracketed searches' calls
     cs_kernel = _counted(hybrid_kernel(params, roots, complex_step))
-    n_steps = 0
-
-    def report(path: str, a: float, l: float, y: float, err: float = 0.0) -> SolveReport:
-        if not err < tol:
-            raise DivoptError(f"hybrid Newton stopped at max |F| = {err:.3g} >= tol={tol}")
-        diagnostics = {"path": path, "n_kernel_evals": kernel.n + cs_kernel.n,
-                       "n_iters": n_steps + gap_kernel.n}
-        return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y),
-                       tol, diagnostics)
+    pinned = beta == 1.0
 
     def phi(u, v):  # u + v - sqrt(u^2 + v^2), without its cancellation where u + v > 0
         r = (u * u + v * v) ** 0.5
         return 2.0 * u * v / (u + v + r) if (u + v).real > 0.0 else u + v - r
 
-    def newton(a: float, l: float):
-        # over (a_c, log l, log y); pinned, log l takes row 0, column (1, 0, 0): step 0
-        nonlocal n_steps
-        rows = lambda k, a, y: (0.0 if pinned else phi(a / len_s, 1.0 - k[0]),
-                                k[9] / y, k[2] - beta)
-        residual = lambda k, a: max(abs(k[0] - 1.0 if pinned else phi(a / len_s, 1.0 - k[0])),
-                                    abs(k[1] - beta), abs(k[2] - beta))  # max |F|
-        correction = lambda r: [-sum(u * v for u, v in zip(row, r)) for row in inv]
-        relative = lambda d: max(abs(u) / c for u, c in zip(d, scale))
+    # over (a_c, t, log y), t = log l, or l / len_s at l = 0; pinned, t takes
+    # row 0, column (1, 0, 0): step 0
+    rows = lambda k, a, l, y: (0.0 if pinned else phi(a / len_s, 1.0 - k[0]),
+                               phi((a + l) / len_s, -k[9] / y * len_s), k[2] - beta)
+    residual = lambda k, a, l: max(abs(phi(a / len_s, 1.0 - k[0])),
+                                   abs(phi((a + l) / len_s, beta - k[1])), abs(k[2] - beta))
+    correction = lambda r: [-sum(u * v for u, v in zip(row, r)) for row in inv]
+    relative = lambda d: max(abs(u) / c for u, c in zip(d, scale))
 
-        def move(dc, dt, dy):  # (a, l, y) of the float levels after a step
-            l1 = l * math.exp(dt)
-            a1 = a + l + dc - l1
-            a1 = a1 if a1 > _STEP_TOL * (a + l + len_s) else 0.0
-            ac1 = a1 + l1
-            return a1, ac1 - a1, ac1 + y * math.exp(dy) - ac1
+    def move(dc, dt, dy):  # (a, l, y) of the float levels after a step
+        l1 = l * math.exp(dt) if l else max(len_s * dt, 0.0)
+        a1 = a + l + dc - l1
+        a1 = a1 if a1 > _STEP_TOL * (a + l + len_s) else 0.0
+        l1 = l1 if a1 or a + l + dc > _STEP_TOL * (a + l + len_s) else 0.0
+        ac1 = a1 + l1
+        return a1, ac1 - a1, ac1 + y * math.exp(dy) - ac1
 
-        y = _upper_gap(params, roots, gap_kernel, a, l)
-        k = kernel(a, l, y)
-        err = residual(k, a)
-        for _ in range(_MAX_NEWTON):
-            if not err > _F_FLOOR:
-                break
-            # column j, exactly: Im(rows)/h with unknown j moved by ih (a step in
-            # log l holds a_c); the inverse's rows are the columns' cross products
-            scale, ih = (a + l + len_s, 1.0, 1.0), 1j * _CS_STEP
-            points = ((a + ih, l, y), (a - ih * l, l + ih * l, y), (a, l, y + ih * y))
-            cols = [(1.0, 0.0, 0.0) if pinned and j == 1 else
-                    [v.imag / _CS_STEP for v in rows(cs_kernel(*pt), pt[0], pt[2])]
-                    for j, pt in enumerate(points)]
-            adj = [(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                    u[0] * v[1] - u[1] * v[0])
-                   for u, v in ((cols[1], cols[2]), (cols[2], cols[0]), (cols[0], cols[1]))]
-            det = sum(u * v for u, v in zip(cols[0], adj[0]))
-            if not det:
-                break  # singular: no Newton direction
-            inv = [[u / det for u in row] for row in adj]
-            n_steps += 1
-            step = correction(rows(k, a, y))
-            size = relative(step)
-            last = not size > _STEP_TOL  # below rounding of the barriers: one trial, then stop
-            # one factor scales the whole step, keeping Newton's direction: it
-            # caps the step in log l and stops a, to first order, halfway to
-            # a_bar; halving brings any trial a back below a_bar
-            dc, dt, dy = step
-            s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
-            da = dc - l * dt
-            if a + s * da > abar:
-                s = 0.5 * (abar - a) / da
-            progress = False
-            for _ in range(1 if last else _MAX_HALVINGS):
-                # a trial moving y by a factor _Y_JUMP or more is refused before
-                # exp, which a long step in log y would overflow
-                if abs(s * dy) < math.log(_Y_JUMP):
-                    a1, l1, y1 = move(s * dc, s * dt, s * dy)
-                    if a1 <= abar:
-                        k1 = kernel(a1, l1, y1)
-                        err1 = residual(k1, a1)
-                        # accept a lower max |F|, or a shorter Newton correction
-                        # (the rows' scales differ by orders as y falls)
-                        progress = err1 < err or relative(correction(rows(k1, a1, y1))) < size
-                        if progress:
-                            break
-                s *= 0.5
-            if progress:
-                a, l, y, k, err = a1, l1, y1, k1, err1
-            if last or not progress:
-                break  # converged, or no progress: rounding inside the gate, else a stall
-        return a, l, y, err
-
-    y = _upper_gap(params, roots, gap_kernel, 0.0, 0.0)
-    if kernel(0.0, 0.0, y)[0] <= beta:
-        return report("ap_ac_zero", 0.0, 0.0, y)
-    pinned = beta == 1.0
-    a, l, y, err = newton(0.5 * abar, 0.0) if pinned else newton(_b0(roots, gap_kernel), len_s / 4)
-    return report("ac_equals_ap" if pinned else "ap_zero" if a == 0.0 else "interior",
-                  a, l, y, err)
+    a, l = (0.5 * abar, 0.0) if pinned else (_b0(roots, gap_kernel), len_s / 4)
+    y = _upper_gap(params, roots, gap_kernel, a, l)
+    k = kernel(a, l, y)
+    err = residual(k, a, l)
+    n_steps = 0
+    for _ in range(_MAX_NEWTON):
+        if not err > _F_FLOOR:
+            break
+        # column j, exactly: Im(rows)/h with unknown j moved by ih (a step in
+        # log l holds a_c); the inverse's rows are the columns' cross products
+        w, scale, ih = l or len_s, (a + l + len_s, 1.0, 1.0), 1j * _CS_STEP
+        points = ((a + ih, l, y), (a - ih * w, l + ih * w, y), (a, l, y + ih * y))
+        cols = [(1.0, 0.0, 0.0) if pinned and j == 1 else
+                [v.imag / _CS_STEP for v in rows(cs_kernel(*pt), *pt)]
+                for j, pt in enumerate(points)]
+        adj = [(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+               for u, v in ((cols[1], cols[2]), (cols[2], cols[0]), (cols[0], cols[1]))]
+        det = sum(u * v for u, v in zip(cols[0], adj[0]))
+        if not det:
+            break  # singular: no Newton direction
+        inv = [[u / det for u in row] for row in adj]
+        n_steps += 1
+        step = correction(rows(k, a, l, y))
+        size = relative(step)
+        last = not size > _STEP_TOL  # below rounding of the barriers: one trial, then stop
+        # one factor scales the whole step, keeping Newton's direction: it
+        # caps the step in log l and stops a, to first order, halfway to a_bar;
+        # halving brings any trial a back below a_bar
+        dc, dt, dy = step
+        s = min(1.0, _MAX_LOG_STEP / abs(dt)) if dt else 1.0
+        da = dc - w * dt
+        if a + s * da > abar:
+            s = 0.5 * (abar - a) / da
+        progress = False
+        for _ in range(1 if last else _MAX_HALVINGS):
+            # a trial moving y by a factor _Y_JUMP or more is refused before
+            # exp, which a long step in log y would overflow
+            if abs(s * dy) < math.log(_Y_JUMP):
+                a1, l1, y1 = move(s * dc, s * dt, s * dy)
+                if a1 <= abar:
+                    k1 = kernel(a1, l1, y1)
+                    err1 = residual(k1, a1, l1)
+                    # accept a lower max |F|, or a shorter Newton correction
+                    # (the rows' scales differ by orders as y falls)
+                    progress = err1 < err or relative(correction(rows(k1, a1, l1, y1))) < size
+                    if progress:
+                        break
+            s *= 0.5
+        # inside the gate, a step that does not lower max |F| finds it at its rounding
+        if not progress or err < tol and not err1 < err:
+            break  # rounding inside the gate, else a stall
+        a, l, y, k, err = a1, l1, y1, k1, err1
+        if last:
+            break  # converged
+    if not err < tol:
+        raise DivoptError(f"hybrid Newton stopped at max |F| = {err:.3g} >= tol={tol}")
+    path = ("ap_ac_zero" if a == l == 0.0 else "ap_zero" if a == 0.0
+            else "ac_equals_ap" if l == 0.0 else "interior")
+    diagnostics = {"path": path, "n_kernel_evals": kernel.n + cs_kernel.n,
+                   "n_iters": n_steps + gap_kernel.n}
+    return _report(Regime.PROFITABLE_HYBRID, params, roots, Hybrid(a, a + l, a + l + y),
+                   tol, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,7 @@ def hybrid_kernel(params: ModelParams, roots: Roots, xp=math):
     A e^{r1 d} (d = l + y), the shifted denominator, stage 1's f(a) and P
     (den's limit as d grows), vp_gap = vp_ac - vp_b, formed from the gap
     factors so that it keeps its relative precision as y -> 0, and B - A,
-    which V's derivatives on [a, b) read. It is stage 2 over
-    _hybrid_factors' stage 1: with
+    which V's derivatives read. It is stage 2 over _hybrid_factors: with
     E = e^{-r1 d}, g(d,l) = g(d) - g(l) and J(d,l) = J(d) - J(l),
 
         den   = (delta/(g+d)) f(a) J(d,l) E + f'(a) g(d,l) E
@@ -285,16 +284,13 @@ class ValueFunction:
 
         def mid(x, k):
             es1u = s1**k * np.exp(s1 * (x - a))
-            v = _affine(x, k, pv, c0)
             if b == math.inf:  # the A_hat terms are 0 everywhere
-                return v + B * es1u
+                return B * es1u + _affine(x, k, pv, c0)
             er1u = r1**k * np.exp(r1 * (x - b))
-            # where |s1| is large, B and A alone give terms far above V', and
-            # an ulp of E in A = A_hat E moves V'(a_c) by more than 1e-10: the
-            # derivatives take B - A as the kernel, which the solver reads, has it
-            if k:
-                return v + bt * es1u + A_hat * er1u
-            return v + B * es1u + A_hat * (er1u - E * es1u)
+            if k:  # B - A as the kernel has it: where |s1| is large, an ulp of
+                # E in A = A_hat E alone moves V'(a_c) by more than 1e-10
+                return bt * es1u + _affine(x, k, pv, c0) + A_hat * er1u
+            return B * es1u + _affine(x, k, pv, c0) + A_hat * (er1u - E * es1u)
 
         # (upper_bound, fn) with fn(x, k) the k-th derivative on the piece;
         # the last upper bound is inf

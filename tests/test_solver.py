@@ -39,6 +39,30 @@ def mk(mu=1.0, sigma=0.3, chi=0.01, beta=0.9, gamma=1.0, delta=0.15):
 HYBRID_PATHS = {"ap_ac_zero", "ap_zero", "ac_equals_ap", "interior"}
 
 
+@pytest.fixture
+def upper_gap_calls(monkeypatch):
+    """A list that gets one entry per call of solver._upper_gap."""
+    calls, upper_gap = [], solver._upper_gap
+    monkeypatch.setattr(solver, "_upper_gap", lambda *args: calls.append(args) or upper_gap(*args))
+    return calls
+
+
+def widened_criterion_2_draws(seed, n):
+    """n fixed draws of TestFuzz's widened criterion-2 hybrids: every other
+    one at chi = 10^U(-16, -4), every fifth at beta = 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        gamma, delta = rng.uniform(0.3, 2.5), rng.uniform(0.03, 0.4)
+        mu, sigma = rng.uniform(0.02, 2.5), rng.uniform(0.1, 1.5)
+        chi = 10.0 ** rng.uniform(-16.0, -4.0) if i % 2 else rng.uniform(1e-4, 0.15)
+        u = 1.0 - rng.random()  # in (0, 1]
+        pv = gamma / (gamma + delta)
+        beta = 1.0 if i % 5 == 0 else pv + u * (1.0 - pv)
+        out.append(mk(mu=mu, sigma=sigma, chi=chi, beta=beta, gamma=gamma, delta=delta))
+    return out
+
+
 def finite_window_draws(seeds):
     """One criterion-1 box draw (mu < 0) per seed in the finite liquidation regime."""
     out = []
@@ -496,9 +520,11 @@ class TestDiagnostics:
             (mk(), "interior"),
         ],
     )
-    def test_known_point_reaches_each_hybrid_path(self, p, path):
+    def test_known_point_reaches_each_hybrid_path(self, p, path, upper_gap_calls):
+        # one Newton for every path, after at most one bracketed search
         rep = solve(p)
         assert rep.diagnostics["path"] == path
+        assert len(upper_gap_calls) <= 1
         st = rep.strategy
         assert (st.a_p == 0.0) == (path in ("ap_ac_zero", "ap_zero"))
         assert (st.a_c == st.a_p) == (path in ("ap_ac_zero", "ac_equals_ap"))
@@ -520,6 +546,20 @@ class TestDiagnostics:
         # not pinned counts
         d = solve(replace(pos_params, **changes)).diagnostics
         assert d["path"] == "interior" and d["n_kernel_evals"] <= bound, d
+
+    @pytest.mark.parametrize("p", [
+        mk(mu=1.9, sigma=0.1, chi=1e-16, beta=1.0, gamma=0.6794362417737436, delta=0.03),
+        mk(mu=2.2947555732281053, sigma=0.4196482870051259, chi=3.439397933608149e-10,
+           beta=1.0, gamma=1.0066375417915983, delta=0.04032320965959692),
+    ])
+    def test_beta_one_newton_stops_at_its_rounding(self, p):
+        # both reach max |F| of 1e-13 to 1e-14 in about 20 steps, after which
+        # steps along the pinned Jacobian's near-null direction no longer
+        # lower it; the first such step ends the Newton, not the step cap
+        rep = solve(p)
+        d = rep.diagnostics
+        assert d["path"] == "ac_equals_ap" and d["n_kernel_evals"] <= 250, d
+        assert max(rep.residuals.values()) <= 1e-12, rep.residuals
 
 
 class TestThresholdApproach:
@@ -684,6 +724,21 @@ class TestFuzz:
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
         # the draws reach every regime and the typed error
         assert set(outcomes) == {r.value for r in Regime} | {"OutOfRangeError"}, outcomes
+
+    def test_widened_criterion_2_fixed_draws_solve_and_verify(self, upper_gap_calls):
+        # the Hypothesis test below draws a different set under a different
+        # solver; these draws stay put, so their paths and verdicts compare
+        # across commits. Each solve runs at most one bracketed search
+        paths = set()
+        for p in widened_criterion_2_draws(202, 320):
+            upper_gap_calls.clear()
+            rep = solve(p)
+            assert len(upper_gap_calls) <= 1, p
+            assert rep.regime is Regime.PROFITABLE_HYBRID
+            assert max(rep.residuals.values()) < 1e-10, (p, rep.residuals)
+            assert check_hjb(p, solve_roots(p), rep.strategy).passed, p
+            paths.add(rep.diagnostics["path"])
+        assert paths == HYBRID_PATHS
 
     def test_widened_criterion_2_hybrids_solve_fast_and_verified(self):
         # criterion 2's hybrid distribution with beta over all of (pv, 1],
