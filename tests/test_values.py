@@ -174,9 +174,9 @@ class TestHybridKernel:
                     0.9974842636307751, 0.02246552287832719, 0.007392323474697158),
     ])
     def test_stiff_hybrid_slope_at_ac_matches_the_kernel(self, p):
-        # |s1| about 7e4 and 2.2e5: B e^{s1 u} and A e^{s1 u} are each about
-        # 5e7 in V'(a_c), so the evaluator forms B - A first, as the kernel
-        # does; apart, their rounding alone missed the 1e-10 gate
+        # |s1| about 7e4 and 2.2e5: B e^{s1 u} and A e^{s1 u} are each up to
+        # about 5e7 in V'(a_c), so the evaluator takes B - A as the kernel
+        # forms it; added apart, their rounding alone missed the 1e-10 gate
         rep = solve(p)
         st, roots = rep.strategy, solve_roots(p)
         vp_ac = hybrid_kernel(p, roots)(st.a_p, st.a_c - st.a_p, st.b - st.a_c)[1]
