@@ -39,10 +39,6 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf"
         return format(v, ".12g")
     return str(v)
 

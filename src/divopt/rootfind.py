@@ -7,7 +7,9 @@ replaces the same end of the bracket as the step before, the value at the
 other end is scaled down, so the points close in on the root from both
 sides instead of creeping up on it from one. A halving safeguard bounds
 the worst case: when HALVING_EVALS - 1 evaluations have not halved the
-bracket, the next point is its midpoint.
+bracket, the next point is its midpoint. It stops at an exact zero or at
+adjacent floats, a rule free of any unit of x, or else after MAX_ITER
+evaluations, which a root next to 0 in a far wider bracket can take.
 
 Signs are compared, never multiplied: the product of two tiny values
 rounds to zero, which would read as a root or a sign change.
@@ -19,9 +21,6 @@ from typing import Callable
 
 from .errors import NoBracketError
 
-# bracket width, relative to 1 + |x|, at which a root search stops; where
-# V' is steep, 1e-12 left smooth-fit residuals above the solver's 1e-10 gate
-ABS_TOL_X = 1e-14
 # the bracket at least halves every HALVING_EVALS evaluations of
 # bisect_secant, and MAX_ITER evaluations stop it, 200 halvings or more
 HALVING_EVALS = 4
@@ -55,8 +54,8 @@ def bisect_secant(
     kept = 0  # the end the last step kept: -1 lo, 1 hi
     for _ in range(MAX_ITER):
         x = 0.5 * (lo + hi)
-        if hi - lo <= ABS_TOL_X * (1.0 + abs(x)):
-            break
+        if x == lo or x == hi:
+            return x
         if n < HALVING_EVALS - 1:
             # an infinite end value makes cand nan or an end, both refused
             cand = lo + (hi - lo) * (flo / (flo - fhi))

@@ -269,6 +269,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "verify: pass" in out
 
+    def test_negative_infinity_keeps_its_sign(self, capsys):
+        # b0 = 6.8e-8: every grid point lies inside the kink window, so
+        # condition A is evaluated nowhere and its maximum is -inf
+        argv = "--mu 0.02549 --sigma 1.139e-5 --chi 1.28e-9 --beta 0.9043 --gamma 1.970 --delta 0.00682"
+        assert main(["verify"] + argv.split()) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "hjb_max_generator_violation=-inf" in out
+        assert out[-1] == "verify: FAIL"
+
 
 class TestSimulateMatchesValue:
     def test_simulated_mean_within_three_stderr_of_value(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The bracketing root finders and their fixed stopping constants."""
+"""The bracketing root finders: the adjacent-float stop and the evaluation caps."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as hs
 
 from divopt.errors import NoBracketError
 from divopt.rootfind import (
-    ABS_TOL_X,
     GROWTH,
     HALVING_EVALS,
     MAX_GROWTH_STEPS,
@@ -30,6 +29,11 @@ def counted(fn):
     return wrapped
 
 
+def changes_sign_at(fn, x, sign=1.0):
+    """Whether sign * fn goes from <= 0 to >= 0 across x's neighbouring floats."""
+    return sign * fn(math.nextafter(x, -math.inf)) <= 0.0 <= sign * fn(math.nextafter(x, math.inf))
+
+
 class TestBisectSecant:
     def test_exact_zero_endpoints_are_returned(self):
         fn = lambda x: x * (x - 2.0)
@@ -47,7 +51,7 @@ class TestBisectSecant:
         # a root near a steep wall and a flat tail, where secant steps stall
         fn = lambda x: math.expm1(40.0 * (x / root - 1.0))
         x = bisect_secant(fn, 0.0, 3.0 * root)
-        assert abs(x - root) <= ABS_TOL_X * (1.0 + root)
+        assert changes_sign_at(fn, x)
 
     def test_evaluation_cap(self):
         # a sign step of the smallest subnormal: the scaled end values
@@ -77,18 +81,18 @@ class TestBisectSecant:
             below = max([lo] + [t for t in xs[2:k] if fn(t) < 0.0])
             above = min([hi] + [t for t in xs[2:k] if fn(t) > 0.0])
             assert above - below <= width0 * 0.5 ** ((k - 2) // HALVING_EVALS)
-        assert abs(x - root) <= ABS_TOL_X * (1.0 + root)
+        assert changes_sign_at(fn, x)
 
     def test_tiny_values_keep_their_signs(self):
         # the product of the two end values, 1e-300 squared, rounds to 0
-        x = bisect_secant(lambda x: 1e-300 * (x - 0.3), -1.0, 2.0)
-        assert abs(x - 0.3) <= ABS_TOL_X * 1.3
+        fn = lambda x: 1e-300 * (x - 0.3)
+        assert changes_sign_at(fn, bisect_secant(fn, -1.0, 2.0))
         with pytest.raises(NoBracketError):
             bisect_secant(lambda x: 1e-200 * (x - 5.0), -1.0, 2.0)
         # the smallest subnormal: the scaled end value underflows to 0
         for s in (1.0, -1.0):
-            x = bisect_secant(lambda x: s * math.copysign(5e-324, x - 0.3), -1.0, 2.0)
-            assert abs(x - 0.3) <= ABS_TOL_X * 1.3
+            fn = lambda x: s * math.copysign(5e-324, x - 0.3)
+            assert changes_sign_at(fn, bisect_secant(fn, -1.0, 2.0), s)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -106,20 +110,28 @@ class TestBisectSecant:
         width=hs.floats(1e-6, 40.0),
     )
     def test_monotone_targets_at_any_scale(self, shape, exponent, sign, root, lo, width):
-        # the result lies within the stopping width of the sign change, or
-        # the bracket has none and NoBracketError is raised; nothing else
+        # the sign change lies between the result's neighbouring floats, or
+        # the bracket has none and NoBracketError is raised; nothing else.
+        # Floats are dense next to 0: a root closer to 0 than 1e-30 times
+        # the width may use up the evaluation cap first, and then lies in
+        # the bracket left after MAX_ITER // HALVING_EVALS halvings
         scale = sign * 10.0**exponent
-        fn = lambda x: scale * shape(x - root)
+        fn = counted(lambda x: scale * shape(x - root))
         hi = lo + width
         flo, fhi = sign * fn(lo), sign * fn(hi)  # increasing
         if flo > 0.0 or fhi < 0.0:
             with pytest.raises(NoBracketError):
                 bisect_secant(fn, lo, hi)
             return
+        fn.calls = 0
         x = bisect_secant(fn, lo, hi)
-        w = ABS_TOL_X * (1.0 + abs(x))
         assert lo <= x <= hi
-        assert sign * fn(x - w) <= 0.0 <= sign * fn(x + w)
+        if fn.calls < 2 + MAX_ITER:
+            assert changes_sign_at(fn, x, sign)
+        else:
+            assert abs(root) < 1e-30 * width
+            w = width * 0.5 ** (MAX_ITER // HALVING_EVALS)
+            assert sign * fn(x - w) <= 0.0 <= sign * fn(x + w)
 
 
 class TestBracketGeometric:

@@ -270,12 +270,27 @@ class TestHybridSolve:
         assert float(vf.d1(0.0)) <= p.beta + 1e-12
 
     def test_rescaling_scales_barriers_exactly(self, pos_params):
-        st = solve(pos_params).strategy
-        k = 3.7
-        st_k = solve(pos_params.rescaled(k)).strategy
-        assert st_k.a_p == pytest.approx(k * st.a_p, rel=1e-8)
-        assert st_k.a_c == pytest.approx(k * st.a_c, rel=1e-8)
-        assert st_k.b == pytest.approx(k * st.b, rel=1e-8)
+        # levels are in money and smooth fit is not: solving in a unit k
+        # times smaller gives the same regime, path and gate verdict, and
+        # every level k times the original to rounding, in every regime
+        def outcome(p):
+            try:
+                rep = solve(p)
+            except DivoptError as exc:
+                return (type(exc).__name__, None), ()
+            st = rep.strategy
+            return (rep.regime, rep.diagnostics["path"]), (st.a_p, st.a_c, st.b, st.b2)
+
+        rng = np.random.default_rng(11)
+        cases = [(pos_params, 3.7)] + [(p, 10.0 ** rng.uniform(-3.0, 3.0)) for p in box_draws(300, 11)]
+        regimes = set()
+        for p, k in cases:
+            (kind, levels), (kind_k, levels_k) = outcome(p), outcome(p.rescaled(k))
+            assert kind == kind_k, (p, k)
+            regimes.add(kind[0])
+            for x, x_k in zip(levels, levels_k):
+                assert x_k == k * x or abs(x_k - k * x) <= 1e-12 * k * x, (p, k, levels, levels_k)
+        assert set(Regime) <= regimes
 
     def test_beta_one_optimum_is_reported(self, pos_params):
         # at beta = 1 an immediate payment costs only chi, so a_c = a_p > 0 with
@@ -690,6 +705,30 @@ class TestLargeBarriers:
         rep = solve(p)
         assert rep.regime is Regime.PROFITABLE_HYBRID
         assert all(v < 1e-10 for v in rep.residuals.values())
+
+    @pytest.mark.parametrize(
+        "p, path",
+        [
+            # |mu|/sigma^2 from 1.2e3 to 3.4e4: V' is so steep at the level
+            # that each meets its gate only when its search runs to adjacent
+            # floats; a bracket of width 1e-14 (1 + |x|) missed it
+            (ModelParams(65.77277701268686, 0.0442301912439592, 0.00045192896919378636,
+                         0.3414650796585159, 0.20041774133150378, 0.19239469167485473), "smooth_fit"),
+            (ModelParams(-1.1506954540661822, 0.031455166025906, 13.954849885427175,
+                         0.7502432112668673, 5.472982671694168, 6.40975991489398), "half_line"),
+            (ModelParams(-0.6329858216215586, 0.017557761015623015, 13.715090234731615,
+                         0.9580670103284027, 0.7497883923291624, 0.07555339319057466), "half_line"),
+            (ModelParams(-3.2811578233971104, 0.01235661133454359, 0.006236481719744965,
+                         0.8628161812974807, 0.2972166920275387, 0.010232178715181003), "window"),
+            (ModelParams(-19.30565899327436, 0.025496702177721483, 0.0002455273418809491,
+                         0.5411064930470328, 9.770284486395273, 0.6037201498942968), "window"),
+        ],
+    )
+    def test_steep_slope_levels_meet_their_gate(self, p, path):
+        rep = solve(p)
+        assert rep.diagnostics["path"] == path
+        assert all(v < 1e-10 for v in rep.residuals.values())
+        assert check_hjb(p, solve_roots(p), rep.strategy).passed
 
 
 class TestFuzz:
