@@ -248,7 +248,11 @@ class ValueFunction:
     Pure and reentrant; accepts scalars or arrays. V' and V'' are analytic
     per branch; at a breakpoint the side selector picks the limit
     ('left' by default). At x = 0 the right limit is always returned, and
-    x < 0 evaluates to 0 (the ruined state).
+    x < 0 evaluates to 0 (the ruined state). A non-decreasing 1-D array
+    (check_hjb's targets and grids) is evaluated piece by piece on the
+    contiguous slices that np.searchsorted finds at the breakpoints; any
+    other array through one boolean mask per piece. Both give the same
+    values, bit for bit.
     """
 
     def __init__(self, params: ModelParams, roots: Roots, strategy: Strategy):
@@ -330,15 +334,26 @@ class ValueFunction:
         scalar = x.ndim == 0
         xv = np.atleast_1d(x)
         out = np.zeros_like(xv)
-        lo = 0.0
-        for i, (ub, fn) in enumerate(self._pieces):
-            if side == "left":
-                sel = (xv > lo) & (xv <= ub) if i > 0 else (xv >= 0.0) & (xv <= ub)
-            else:
-                sel = (xv >= lo) & (xv < ub)
-            if sel.any():
-                out[sel] = fn(xv[sel], k)
-            lo = ub
+        if xv.ndim == 1 and (xv[1:] >= xv[:-1]).all():
+            # non-decreasing (so no NaN): each piece is one contiguous slice,
+            # from the first x >= 0 on; 'left' ends a piece after x == ub
+            end = "right" if side == "left" else "left"
+            i = np.searchsorted(xv, 0.0)
+            for ub, fn in self._pieces:
+                j = np.searchsorted(xv, ub, end)
+                if j > i:
+                    out[i:j] = fn(xv[i:j], k)
+                i = j
+        else:
+            lo = 0.0
+            for i, (ub, fn) in enumerate(self._pieces):
+                if side == "left":
+                    sel = (xv > lo) & (xv <= ub) if i > 0 else (xv >= 0.0) & (xv <= ub)
+                else:
+                    sel = (xv >= lo) & (xv < ub)
+                if sel.any():
+                    out[sel] = fn(xv[sel], k)
+                lo = ub
         return float(out[0]) if scalar else out
 
     def __call__(self, x):

@@ -7,9 +7,12 @@ Three oracles, deliberately decoupled from the solver internals:
   payment sizes. It consumes only the value-function evaluator. With
   y = x - xi the payment target, sup_xi (xi + V(x - xi)) = x +
   max_{y <= x} (V(y) - y), and likewise with beta xi, so both suprema are
-  running maxima of V(y) - y and V(y) - beta y over one sorted 1-D set of
-  targets (the surplus grid refined, plus the strategy levels), read at
-  each x: V is evaluated once per target, not once per (x, xi) pair.
+  running maxima of V(y) - y and V(y) - beta y over one set of targets
+  (the surplus grid refined, plus the strategy levels), read at each x:
+  V is evaluated once per target, not once per (x, xi) pair. The targets
+  are built in grid order, cell by cell, so nothing is sorted or searched
+  for; each maximum is taken within the cells, then across them. Ties in
+  V(y) - y go to the largest target, the smallest payment.
 * brute_force_hybrid exhaustively maximises the hybrid objective
   V(a_c) - beta a_c over a barrier lattice, using only the closed-form
   kernel it shares with the solver (so it judges the search, not the
@@ -22,6 +25,7 @@ Three oracles, deliberately decoupled from the solver internals:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,18 +60,60 @@ def _strategy_levels(strategy: Strategy) -> list[float]:
     return sorted({v for v in (s.a_p, s.a_c, s.b, s.b2) if 0.0 < v < math.inf})
 
 
-def _payment_targets(x: np.ndarray, levels: list[float], density: int) -> np.ndarray:
-    """Sorted, distinct payment targets y = x - xi over the surplus grid x.
+def _grid_nodes(x: np.ndarray):
+    """The sorted, distinct nodes 0 and x, and where each x lies among them:
+    a slice when x is strictly increasing, an index array otherwise."""
+    if (x[1:] > x[:-1]).all():
+        return (x, slice(None)) if x[0] == 0.0 else (np.append(0.0, x), slice(1, None))
+    nodes, at = np.unique(np.append(x, 0.0), return_inverse=True)
+    return nodes, at[:-1]
 
-    The nodes are 0 and the points of x; each cell between consecutive
-    nodes holds `density` evenly spaced targets, its two ends included (so
-    going from n to 2n - 1, twice the parts per cell, keeps every coarser
-    target); the strategy levels are added exactly.
+
+def _payment_targets(nodes: np.ndarray, levels: list[float], density: int):
+    """Payment targets y = x - xi over the sorted, distinct nodes, in order.
+
+    Each cell between consecutive nodes holds `density` evenly spaced
+    targets, its two ends included (so going from n to 2n - 1, twice the
+    parts per cell, keeps every coarser target). grid lays them out as
+    node 0, the fills of cell 0, node 1, ..., the last node: with
+    c = density - 1, grid[c j] is node j. A fill nodes[j] + h u (0 < u < 1)
+    rounds into [nodes[j], nodes[j + 1]], so grid is non-decreasing as
+    built. The strategy levels go in after the grid targets they are not
+    below, giving s, and y is s without repeats: sorted and distinct.
+    Returns (grid, y, to_y, at): y[to_y] is s (to_y is None when s has no
+    repeats) and s[at] are the levels.
     """
-    nodes = np.unique(np.append(x, 0.0))
-    u = np.linspace(0.0, 1.0, density)[1:-1]
-    fill = nodes[:-1, None] + np.diff(nodes)[:, None] * u
-    return np.unique(np.concatenate([nodes, fill.ravel(), levels]))
+    c = density - 1
+    grid = np.empty(c * (len(nodes) - 1) + 1)
+    cells = grid[:-1].reshape(-1, c)
+    cells[:, 0] = nodes[:-1]
+    h = nodes[1:] - nodes[:-1]
+    for k in range(1, c):
+        u = k * (1.0 / c)  # as np.linspace(0, 1, density) rounds it
+        np.multiply(h, u, out=cells[:, k])
+        cells[:, k] += nodes[:-1]
+    grid[-1] = nodes[-1]
+    at = np.searchsorted(grid, levels, "right").tolist()
+    runs = [grid[i:j] for i, j in zip([0, *at], [*at, len(grid)])]
+    s = np.concatenate([z for run, v in zip(runs, levels) for z in (run, [v])] + runs[-1:])
+    at = [i + k for k, i in enumerate(at)]
+    new = np.empty(len(s), dtype=bool)
+    new[0] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    if new.all():
+        return grid, s, None, at
+    return grid, s[new], np.cumsum(new) - 1, at
+
+
+def _cell_max(w: np.ndarray, c: int) -> np.ndarray:
+    """The maximum of each run of c consecutive entries of w, taken one
+    column of the (runs, c) view at a time: numpy reduces a short last axis
+    slowly, and this keeps complex w in numpy's order."""
+    cells = w.reshape(-1, c)
+    top = cells[:, 0].copy()
+    for i in range(1, c):
+        np.maximum(top, cells[:, i], out=top)
+    return top
 
 
 def check_hjb(
@@ -98,43 +144,66 @@ def check_hjb(
         sup_A(x) = x - V(x) + max_{y <= x} (V(y) - y),
         sup_B(x) = beta x - chi - V(x) + max_{y < x} (V(y) - beta y),
 
-    on one sorted set of targets: 0, the x grid itself (so xi = 0 and every
+    on one set of targets: 0, the x grid itself (so xi = 0 and every
     x_i - x_j are candidates), each cell between consecutive grid points
     filled with xi_grid_density evenly spaced targets (both ends counted),
     and the strategy levels exactly, which are the analytic maximisers, so
-    no discretisation slack is paid there. Both maxima are running maxima
-    over the targets, read at each x. generator_argmax_xi is x minus the
-    largest target attaining the condition A maximum.
+    no discretisation slack is paid there. The targets are built in grid
+    order (_payment_targets), so V is evaluated once, on a sorted array,
+    and both maxima are taken per cell, then as running maxima across the
+    cells, read at each x. generator_argmax_xi is x minus the largest
+    target attaining the condition A maximum: the last one, in grid order.
 
     Both residuals are scaled by 1 + |V(x)|. They are also reported per x:
     resid_generator is condition A's left side, NaN within KINK_WINDOW of a
     kink, where it is skipped (V'' is undefined there); resid_payment is
     the gain of the best payment xi > 0 (-inf at x = 0), whose positive
-    part is condition B's residual. x_grid must be non-empty, finite and
-    non-negative; the check fails unless condition A is evaluated somewhere.
+    part is condition B's residual. x_grid must be a non-empty, finite and
+    non-negative 1-D array and xi_grid_density an integer >= 2; the check
+    fails unless condition A is evaluated somewhere.
     """
+    if not (
+        isinstance(xi_grid_density, numbers.Integral)
+        and not isinstance(xi_grid_density, bool)
+        and xi_grid_density >= 2
+    ):
+        raise ValueError(f"xi_grid_density must be an integer >= 2, got {xi_grid_density!r}")
     vf = ValueFunction(params, roots, strategy)
     levels = _strategy_levels(strategy)
     if x_grid is None:
         top = max(levels) if levels else 1.0 / abs(roots.s1) + 1.0 / roots.r1
         x_grid = np.linspace(0.0, 3.0 * top, 2000)
     x = np.asarray(x_grid, dtype=float)
-    if not (x.size and np.isfinite(x).all() and (x >= 0.0).all()):
-        raise ValueError("x_grid must be non-empty, finite and non-negative")
+    if not (x.ndim == 1 and x.size and np.isfinite(x).all() and (x >= 0.0).all()):
+        raise ValueError("x_grid must be a non-empty, finite and non-negative 1-D array")
 
-    y = _payment_targets(x, levels, xi_grid_density)
-    vy = vf(y)
-    ix = np.searchsorted(y, x)  # every x is a target: y[ix] == x
-    v = vy[ix]
+    nodes, at_x = _grid_nodes(x)
+    c = int(xi_grid_density) - 1  # targets per cell, one node included
+    grid, y, to_y, at = _payment_targets(nodes, levels, c + 1)
+    vs = vf(y)
+    if to_y is not None:
+        vs = vs[to_y]
+    # back onto the grid, and the levels' values
+    vg = np.concatenate([vs[i + 1 : j] for i, j in zip([-1, *at], [*at, len(vs)])])
+    lev = list(zip(levels, vs[at].tolist()))
+    v = vg[::c][at_x]
     scale = 1.0 + np.abs(v)
 
-    # condition A: running maximum of V(y) - y over y <= x, and the latest
-    # target attaining it (the smallest payment on ties)
-    w = vy - y
-    run = np.maximum.accumulate(w)
-    at = np.maximum.accumulate(np.where(w == run, np.arange(len(y)), 0))
-    sup_a = x - v + run[ix]
-    argmax_xi = x - y[at[ix]]
+    # condition A: the maximum of V(y) - y over y <= x and the largest
+    # target attaining it (the smallest payment on ties) are the largest
+    # (V(y) - y) + i y in numpy's complex order, which compares the real parts
+    # and then the imaginary ones. Per cell (nodes[j], nodes[j + 1]], then
+    # with the levels, then as a running maximum over node 0 and the cells
+    wy = np.empty(len(grid), dtype=complex)
+    np.subtract(vg, grid, out=wy.real)
+    wy.imag = grid
+    top = _cell_max(wy[1:], c)
+    for (yl, vl), j in zip(lev, np.searchsorted(nodes, levels) - 1):
+        if j < len(top):  # a level past the last node is below no x
+            top[j] = np.maximum(top[j], complex(vl - yl, yl))
+    run = np.maximum.accumulate(np.append(wy[0], top))[at_x]
+    sup_a = x - v + run.real
+    argmax_xi = x - run.imag
     d1 = vf.d1(x)
     d2 = vf.d2(x)
     gen = 0.5 * params.sigma**2 * d2 + params.mu * d1 - params.delta * v
@@ -148,10 +217,17 @@ def check_hjb(
     else:
         max_a, worst_a = -math.inf, math.nan
 
-    # condition B: running maximum of V(y) - beta y over y < x; at x = 0
-    # only xi = 0 is left, which contributes 0
-    run_b = np.maximum.accumulate(vy - params.beta * y)
-    best_b = np.where(ix > 0, run_b[ix - 1], -np.inf)
+    # condition B: the maximum of V(y) - beta y over y < x, per cell
+    # [nodes[j], nodes[j + 1]), where a fill that rounded onto nodes[j + 1]
+    # is that node; at x = 0 only xi = 0 is left, which contributes 0
+    wb = vg[:-1] - params.beta * grid[:-1]
+    if (grid[c - 1 : -1 : c] == grid[c::c]).any():
+        wb[grid[:-1] == np.repeat(nodes[1:], c)] = -np.inf
+    top = _cell_max(wb, c)
+    for (yl, vl), j in zip(lev, np.searchsorted(nodes, levels, "right") - 1):
+        if j < len(top):
+            top[j] = np.maximum(top[j], vl - params.beta * yl)
+    best_b = np.append(-np.inf, np.maximum.accumulate(top))[at_x]
     gain_b = (params.beta * x - params.chi - v + best_b) / scale
     ib = int(np.argmax(np.maximum(gain_b, 0.0)))
     max_b, worst_b = max(float(gain_b[ib]), 0.0), float(x[ib])

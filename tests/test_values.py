@@ -409,3 +409,37 @@ class TestSideSelector:
         vf = ValueFunction(pos_params, pos_roots, Hybrid(0.3, 0.4, 1.3))
         assert float(vf.d1(0.0, side="left")) == float(vf.d1(0.0, side="right"))
         assert float(vf.d1(0.0)) > 0.0
+
+    @pytest.mark.parametrize(
+        "family, strategy",
+        [
+            ("pos", Hybrid(0.3, 0.4, 1.3)),
+            ("pos", Hybrid(0.0, 0.4, 1.3)),
+            ("pos", Hybrid(0.0, 0.0, 1.3)),
+            ("pos", PeriodicBarrier(0.7)),
+            ("pos", PeriodicZero()),
+            ("neg", Liquidation(0.3, 2.7)),
+            ("neg", Liquidation(0.3, math.inf)),
+        ],
+        ids=["hybrid", "hybrid-ap-zero", "hybrid-both-zero", "periodic", "periodic-zero",
+             "window", "half-line"],
+    )
+    def test_sorted_slices_match_the_masks(self, request, family, strategy):
+        # a non-decreasing grid is evaluated by slices, the same points in any
+        # other order by masks; both must give the same bits at every point,
+        # breakpoints included, on either side
+        params = request.getfixturevalue(f"{family}_params")
+        vf = ValueFunction(params, request.getfixturevalue(f"{family}_roots"), strategy)
+        b2 = strategy.b2 if math.isfinite(strategy.b2) else 3.0
+        x = np.sort(np.concatenate([
+            [-1.0, -1e-3, 0.0, 0.0], np.linspace(0.0, 1.5 * b2, 301),
+            vf.breakpoints, vf.breakpoints, [b2 + 0.5, 2.0 * b2 + 1.0],
+        ]))
+        shuffled = np.random.default_rng(4).permutation(len(x))
+        assert np.any(np.diff(x[shuffled]) < 0.0)
+        sides = [{}, {"side": "left"}, {"side": "right"}]
+        for fn, kw in [(vf, {})] + [(d, side) for d in (vf.d1, vf.d2) for side in sides]:
+            out = fn(x, **kw)
+            assert out[:2].tolist() == [0.0, 0.0]  # x < 0: the ruined state
+            assert out[shuffled].tobytes() == fn(x[shuffled], **kw).tobytes()
+            assert out.tobytes() == np.array([fn(float(v), **kw) for v in x]).tobytes()

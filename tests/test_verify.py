@@ -17,6 +17,9 @@ from divopt import (
     solve_roots,
 )
 from divopt.verify import (
+    KINK_WINDOW,
+    HJBReport,
+    _grid_nodes,
     _lattice_objective,
     _payment_targets,
     _strategy_levels,
@@ -53,11 +56,19 @@ class TestCheckHJB:
         assert hjb.x_generator.max() == pytest.approx(3.0 * (1.0 / abs(r.s1) + 1.0 / r.r1))
         assert hjb.passed
 
-    @pytest.mark.parametrize("grid", [[], [math.nan, 1.0], [0.0, math.inf], [1.0, -1.0]],
-                             ids=["empty", "nan", "inf", "negative"])
+    @pytest.mark.parametrize(
+        "grid", [[], [math.nan, 1.0], [0.0, math.inf], [1.0, -1.0], [[0.0, 1.0]]],
+        ids=["empty", "nan", "inf", "negative", "2-d"],
+    )
     def test_degenerate_grid_is_rejected(self, pos_params, pos_roots, solved, grid):
-        with pytest.raises(ValueError, match="non-empty, finite and non-negative"):
+        with pytest.raises(ValueError, match="non-empty, finite and non-negative 1-D"):
             check_hjb(pos_params, pos_roots, solved, x_grid=np.array(grid))
+
+    @pytest.mark.parametrize("density", [0, 1, True, -1, 2.5, "6"],
+                             ids=["zero", "one", "true", "negative", "float", "string"])
+    def test_bad_xi_grid_density_is_rejected(self, pos_params, pos_roots, solved, density):
+        with pytest.raises(ValueError, match="xi_grid_density must be an integer >= 2"):
+            check_hjb(pos_params, pos_roots, solved, xi_grid_density=density)
 
     def test_grid_inside_the_kink_window_does_not_pass(self, pos_params, pos_roots, solved):
         # condition A is skipped within KINK_WINDOW of b, so on this grid it is
@@ -115,7 +126,7 @@ def _brute_force_hjb(p, r, st, x, density, kink_window=1e-6):
     a 2-D max over payment sizes xi = x - y, y in check_hjb's target set,
     ordered by increasing xi."""
     vf = ValueFunction(p, r, st)
-    y = _payment_targets(x, _strategy_levels(st), density)[::-1]
+    y = _payment_targets(_grid_nodes(x)[0], _strategy_levels(st), density)[1][::-1]
     xi = x[:, None] - y[None, :]
     v = vf(x)
     v_after = vf(x[:, None] - xi)
@@ -129,6 +140,12 @@ def _brute_force_hjb(p, r, st, x, density, kink_window=1e-6):
     gain_b = pay.max(axis=1) / (1.0 + np.abs(v))
     argmax_xi = xi[np.arange(len(x)), improve.argmax(axis=1)]
     return np.where(away, resid_a, np.nan), gain_b, argmax_xi
+
+
+def _top(st, r):
+    """The top of check_hjb's default grid, over 3."""
+    levels = _strategy_levels(st)
+    return max(levels) if levels else 1.0 / abs(r.s1) + 1.0 / r.r1
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +178,7 @@ def controls():
 def test_running_max_suprema_match_brute_force(controls, x_lo):
     for name, (p, st) in controls.items():
         r = solve_roots(p)
-        levels = _strategy_levels(st)
-        top = max(levels) if levels else 1.0 / abs(r.s1) + 1.0 / r.r1
-        x = np.linspace(x_lo, 3.0 * top, 301)
+        x = np.linspace(x_lo, 3.0 * _top(st, r), 301)
         rep = check_hjb(p, r, st, x_grid=x, xi_grid_density=6)
         ref_a, ref_b, ref_xi = _brute_force_hjb(p, r, st, x, density=6)
         assert abs(rep.max_generator_violation - np.nanmax(ref_a)) <= 1e-12, name
@@ -178,10 +193,104 @@ def test_running_max_suprema_match_brute_force(controls, x_lo):
 @pytest.mark.parametrize("n", [2, 6, 101])
 def test_doubling_the_parts_per_cell_nests_the_targets(n):
     x = np.sort(np.random.default_rng(3).uniform(0.1, 4.0, 300))
-    coarse = _payment_targets(x, [0.7, 2.2], n)
-    fine = _payment_targets(x, [0.7, 2.2], 2 * n - 1)
+    nodes = _grid_nodes(x)[0]
+    coarse = _payment_targets(nodes, [0.7, 2.2], n)[1]
+    fine = _payment_targets(nodes, [0.7, 2.2], 2 * n - 1)[1]
     assert len(fine) == len(coarse) + (n - 1) * len(x)
     assert np.isin(coarse, fine).all()
+
+
+def _reference_hjb(p, r, st, x_grid, density, tol=1e-6):
+    """check_hjb as first written: the targets sorted and made distinct by
+    np.unique, each x found by np.searchsorted, and both maxima as running
+    maxima over every target, with the last index attaining the condition A
+    maximum taken as its argmax."""
+    vf = ValueFunction(p, r, st)
+    x = np.asarray(x_grid, dtype=float)
+    nodes = np.unique(np.append(x, 0.0))
+    u = np.linspace(0.0, 1.0, density)[1:-1]
+    fill = nodes[:-1, None] + np.diff(nodes)[:, None] * u
+    y = np.unique(np.concatenate([nodes, fill.ravel(), _strategy_levels(st)]))
+    vy = vf(y)
+    ix = np.searchsorted(y, x)
+    v = vy[ix]
+    scale = 1.0 + np.abs(v)
+    w = vy - y
+    run = np.maximum.accumulate(w)
+    at = np.maximum.accumulate(np.where(w == run, np.arange(len(y)), 0))
+    sup_a = x - v + run[ix]
+    gen = 0.5 * p.sigma**2 * vf.d2(x) + p.mu * vf.d1(x) - p.delta * v
+    ok_a = np.ones_like(x, dtype=bool)
+    for k in vf.kinks:
+        ok_a &= np.abs(x - k) > KINK_WINDOW
+    resid_a = np.where(ok_a, (gen + p.gamma * sup_a) / scale, np.nan)
+    max_a, worst_a = -math.inf, math.nan
+    if ok_a.any():
+        ia = int(np.argmax(np.where(ok_a, resid_a, -np.inf)))
+        max_a, worst_a = float(resid_a[ia]), float(x[ia])
+    run_b = np.maximum.accumulate(vy - p.beta * y)
+    best_b = np.where(ix > 0, run_b[ix - 1], -np.inf)
+    gain_b = (p.beta * x - p.chi - v + best_b) / scale
+    ib = int(np.argmax(np.maximum(gain_b, 0.0)))
+    max_b = max(float(gain_b[ib]), 0.0)
+    return HJBReport(
+        n_points=len(x),
+        tol=tol,
+        max_generator_violation=max_a,
+        worst_x_generator=worst_a,
+        max_payment_residual=max_b,
+        worst_x_payment=float(x[ib]),
+        passed=bool(ok_a.any()) and max_a <= tol and max_b <= tol,
+        generator_argmax_xi=x - y[at[ix]],
+        x_generator=x,
+        resid_generator=resid_a,
+        resid_payment=gain_b,
+    )
+
+
+def _assert_same_bits(rep, ref, label):
+    """Every HJBReport field equal bit for bit: type, shape and bytes."""
+    for name in HJBReport.__dataclass_fields__:
+        a, b = np.asarray(getattr(rep, name)), np.asarray(getattr(ref, name))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (label, name)
+
+
+@pytest.mark.parametrize("density", [2, 6, 101])
+@pytest.mark.parametrize("x_lo", [0.0, 0.05])
+def test_grid_order_matches_the_sorted_reference(controls, density, x_lo):
+    for name, (p, st) in controls.items():
+        r = solve_roots(p)
+        x = np.linspace(x_lo, 3.0 * _top(st, r), 301)
+        rep = check_hjb(p, r, st, x_grid=x, xi_grid_density=density)
+        _assert_same_bits(rep, _reference_hjb(p, r, st, x, density), name)
+
+
+def test_custom_grids_match_the_sorted_reference(controls):
+    rng = np.random.default_rng(9)
+    for name, (p, st) in controls.items():
+        r = solve_roots(p)
+        top = _top(st, r)
+        levels = _strategy_levels(st)
+        # shuffled, with repeats and with 0 inside
+        x = rng.uniform(0.0, 3.0 * top, 200)
+        x = rng.permutation(np.concatenate([x, x[:40], [0.0]]))
+        grids = [("shuffled", x, 6)]
+        # the levels exactly on grid points: targets repeat
+        grids.append(("on levels", np.sort(np.append(np.linspace(0.0, 3.0 * top, 60), levels)), 6))
+        # cells a few ulps wide, where fills round onto the next node: around
+        # the top level, and halfway to the lowest, where V(y) - beta y
+        # still grows and the fills would be the best payment below x
+        ulps = [z + k * math.ulp(z) for z in (top, 0.5 * min(levels, default=top))
+                for k in range(-3, 7)]
+        x = np.sort(np.concatenate([np.linspace(0.0, 3.0 * top, 50), ulps]))
+        for density in (6, 101):
+            grid = _payment_targets(_grid_nodes(x)[0], levels, density)[0]
+            c = density - 1
+            assert (grid[c - 1 : -1 : c] == grid[c::c]).any(), name
+            grids.append((f"ulps, density {density}", x, density))
+        for label, x, density in grids:
+            rep = check_hjb(p, r, st, x_grid=x, xi_grid_density=density)
+            _assert_same_bits(rep, _reference_hjb(p, r, st, x, density), (name, label))
 
 
 class TestBruteForce:
