@@ -10,9 +10,9 @@ Three oracles, deliberately decoupled from the solver internals:
   running maxima of V(y) - y and V(y) - beta y over one set of targets
   (the surplus grid refined, plus the strategy levels), read at each x:
   V is evaluated once per target, not once per (x, xi) pair. The targets
-  are built in grid order, cell by cell, so nothing is sorted or searched
-  for; each maximum is taken within the cells, then across them. Ties in
-  V(y) - y go to the largest target, the smallest payment.
+  are built in grid order, cell by cell, so they need no sort and no x
+  needs a search; each maximum is taken within the cells, then across
+  them. Ties in V(y) - y go to the largest target, the smallest payment.
 * brute_force_hybrid exhaustively maximises the hybrid objective
   V(a_c) - beta a_c over a barrier lattice, using only the closed-form
   kernel it shares with the solver (so it judges the search, not the
